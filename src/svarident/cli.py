@@ -33,10 +33,9 @@ from .identify import (
     count_condition,
     q_tilde,
     restricted_point,
-    sign_normalize,
     theorem6_check,
 )
-from .linalg import DEFAULT_TOL, RankTolerance, svd_rank_null
+from .linalg import DEFAULT_TOL, RankTolerance
 from .model import ModelDims, ReducedFormParams, StructuralParams, baseline_structural
 from .restrictions import (
     RestrictionSpec,
@@ -149,9 +148,8 @@ def _run_check(args, tol) -> tuple[IdentificationReport, Theorem6Result | None]:
 
 
 def _cmd_check(args) -> int:
-    tol = _tolerance(args)
     try:
-        report, theorem6 = _run_check(args, tol)
+        report, theorem6 = _run_check(args, _tolerance(args))
     except (OSError, ValueError, SvarIdentError) as exc:
         return _fail(str(exc))
     if args.format == "json":
@@ -164,9 +162,8 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_explain(args) -> int:
-    tol = _tolerance(args)
     try:
-        report, _ = _run_check(args, tol)
+        report, _ = _run_check(args, _tolerance(args))
     except (OSError, ValueError, SvarIdentError) as exc:
         return _fail(str(exc))
     verdict = report.verdict
@@ -211,8 +208,8 @@ def _cmd_explain(args) -> int:
 
 
 def _cmd_rotate(args) -> int:
-    tol = _tolerance(args)
     try:
+        tol = _tolerance(args)
         spec = _load_spec(args)
         explicit = args.sigma is not None or args.b is not None
         if explicit:
@@ -263,6 +260,9 @@ def _cmd_demo(args) -> int:
     r = ReducedFormParams(dims, np.zeros((dims.m, dims.n)), np.eye(dims.n))
     s0 = baseline_structural(r)
     f_val = assemble_f(s0, spec)
+    # one walk gives the ranks, p1 and the restricted point for the cross-check
+    rot = construct_rotation(r, c, spec, OnRedundancy.PICK_ARBITRARY, pick_seed=0)
+    first, second = rot.per_column[:2]
 
     out.write("svar-ident demo: counting restrictions is not enough\n")
     out.write("\nrestriction document (built-in):\n")
@@ -276,24 +276,20 @@ def _cmd_demo(args) -> int:
     out.write("\nat Sigma = I, B = 0 the baseline point has f = stack(A0; IR0):\n")
     out.write(format_matrix(f_val) + "\n")
 
-    qt1 = q_tilde(1, c, f_val, [])
-    rank1, null1, _ = svd_rank_null(qt1)
+    p1 = rot.P[:, c.permutation[0]]
     out.write("\nQtilde_1 (rows of f restricted in column 1):\n")
-    out.write(format_matrix(qt1) + "\n")
-    p1, _ = sign_normalize(null1[0], c.permutation[0] + 1, s0.A0)
-    out.write(f"rank {rank1} (required {dims.n - 1}) -> unique up to sign; ")
+    out.write(format_matrix(q_tilde(1, c, f_val, [])) + "\n")
+    out.write(f"rank {first.rank} (required {first.required_rank}) -> unique up to sign; ")
     out.write(f"p1 = {format_vector(p1)}\n")
 
-    qt2 = q_tilde(2, c, f_val, [p1])
-    rank2, _, _ = svd_rank_null(qt2)
     out.write("\nQtilde_2 (restricted rows for column 2, then p1'):\n")
-    out.write(format_matrix(qt2) + "\n")
+    out.write(format_matrix(q_tilde(2, c, f_val, [p1])) + "\n")
     out.write(
-        f"rank {rank2} (required {dims.n - 1}) -> Redundant({dims.n - rank2}): "
+        f"rank {second.rank} (required {second.required_rank}) -> {second.status_label}: "
         "the impact restriction is implied by the A0 zeros\n"
     )
 
-    s_rot = restricted_point(r, c, spec, pick_seed=0)
+    s_rot = StructuralParams(dims, s0.A0 @ rot.P, s0.Aplus @ rot.P)
     t6 = theorem6_check(s_rot, c, spec)
     out.write("\nrank cross-check at a restricted point:\n")
     for t, rank in enumerate(t6.ranks):

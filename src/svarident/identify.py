@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -153,22 +154,6 @@ def count_condition(c: CompiledRestrictions) -> CountCondition:
     return CountCondition(per, all(per))
 
 
-def _restriction_rows(c: CompiledRestrictions, t: int, f_val: np.ndarray) -> np.ndarray:
-    """Restriction rows for permuted column t applied to f.
-
-    Selection-form restrictions return the q_j selected rows of f directly;
-    general matrices return Q_j f with the padding rows (all-zero rows of
-    Q_j) dropped, so both paths yield only the informative rows.
-    """
-    if c.rows is not None:
-        idx = c.rows[t]
-        if not idx:
-            return np.zeros((0, c.dims.n))
-        return f_val[list(idx), :]
-    keep = np.any(c.Q[t] != 0.0, axis=1)
-    return (c.Q[t] @ f_val)[keep]
-
-
 def q_tilde(j: int, c: CompiledRestrictions, f_val, prior) -> np.ndarray:
     """Stacked rank-test matrix for permuted column j (1-based).
 
@@ -180,7 +165,7 @@ def q_tilde(j: int, c: CompiledRestrictions, f_val, prior) -> np.ndarray:
     if not 1 <= j <= c.dims.n:
         raise ValueError(f"column index must be 1..{c.dims.n}")
     f_val = np.asarray(f_val, dtype=float)
-    parts = [_restriction_rows(c, j - 1, f_val)]
+    parts = [c.Q[j - 1] @ f_val]
     parts.extend(np.asarray(p, dtype=float).reshape(1, -1) for p in prior)
     return np.vstack(parts)
 
@@ -207,85 +192,91 @@ def sign_normalize(p, j: int, a0) -> tuple[np.ndarray, int]:
     return p * flip, flip
 
 
+class _Walk(NamedTuple):
+    """One walk at a reduced-form point: the baseline point, f there, the
+    scale of its rank cutoffs, the rotation result and the columns accepted,
+    in processing order."""
+
+    s0: StructuralParams
+    f: np.ndarray
+    scale: float
+    rotation: RotationResult
+    accepted: tuple[np.ndarray, ...]
+
+
 def _build_columns(
-    f_val: np.ndarray,
+    r: ReducedFormParams,
     c: CompiledRestrictions,
-    a0: np.ndarray,
+    spec: RestrictionSpec,
     tol: RankTolerance,
-    on_redundancy: OnRedundancy,
-    pick_rng: np.random.Generator | None,
-    null_solver,
-) -> RotationResult:
-    """Sequential core shared by nonredundancy_at and construct_rotation."""
+    pick_rng: np.random.Generator | None = None,
+) -> _Walk:
+    """The sequential column walk at r, the one that every verdict, rotation,
+    restricted point and explanation reads.
+
+    Each step stacks the column's restriction rows at f with the columns
+    accepted so far and takes the null space of the stack.  With pick_rng
+    None the walk stops at the first rank-deficient column (P is None);
+    otherwise that column gets a random unit vector from its null space.
+    """
+    if r.dims != spec.dims:
+        raise ValueError(
+            f"reduced-form point has n = {r.dims.n}, p = {r.dims.p} but the "
+            f"restrictions are for n = {spec.dims.n}, p = {spec.dims.p}"
+        )
+    s0 = baseline_structural(r)
+    f_val = assemble_f(s0, spec, tol)
     n = c.dims.n
-    prior: list[np.ndarray] = []
-    diags: list[ColumnDiagnostic] = []
-    flips: list[int] = []
-    columns: dict[int, np.ndarray] = {}
-    unique = True
     # The prior columns carry rounding error on the order of eps times the
     # norm of the full stack they were extracted from, so rank decisions on
     # the small per-column stacks must be cut off at that scale, not their own.
     scale = max(1.0, float(np.linalg.norm(f_val, 2))) if f_val.size else 1.0
+    accepted: list[np.ndarray] = []
+    diags: list[ColumnDiagnostic] = []
+    flips: list[int] = []
 
     for t, orig in enumerate(c.permutation):
-        jj = t + 1
-        qt = q_tilde(jj, c, f_val, prior)
+        qt = q_tilde(t + 1, c, f_val, accepted)
         rank, null_rows, svals = svd_rank_null(qt, tol, sigma_floor=scale)
-        null_dim = n - rank
-
         if rank >= n:
-            diags.append(
-                ColumnDiagnostic(
-                    jj, orig + 1, qt.shape[0], rank, n - 1,
-                    ColumnStatus.INFEASIBLE, 0, tuple(float(x) for x in svals),
-                )
+            status = ColumnStatus.INFEASIBLE
+        elif rank == n - 1:
+            status = ColumnStatus.UNIQUE
+        else:
+            status = ColumnStatus.REDUNDANT
+        diags.append(
+            ColumnDiagnostic(
+                t + 1, orig + 1, qt.shape[0], rank, n - 1,
+                status, n - rank, tuple(float(x) for x in svals),
             )
+        )
+        if status is ColumnStatus.INFEASIBLE:
             err = InfeasibleRestrictionsError(
                 f"restrictions on column {orig + 1} admit no unit vector "
-                f"(rank {rank} = n at processing step {jj})"
+                f"(rank {rank} = n at processing step {t + 1})"
             )
             err.diagnostics = tuple(diags)
             raise err
-
-        if rank == n - 1:
-            status = ColumnStatus.UNIQUE
-            if null_solver is not None:
-                vec = np.asarray(null_solver(qt), dtype=float)
-                vec = vec / float(np.linalg.norm(vec))
-            else:
-                vec = null_rows[0]
+        if status is ColumnStatus.UNIQUE:
+            vec = null_rows[0]
+        elif pick_rng is None:
+            break
         else:
-            status = ColumnStatus.REDUNDANT
-            unique = False
-            if on_redundancy is OnRedundancy.ABORT:
-                diags.append(
-                    ColumnDiagnostic(
-                        jj, orig + 1, qt.shape[0], rank, n - 1,
-                        status, null_dim, tuple(float(x) for x in svals),
-                    )
-                )
-                return RotationResult(None, tuple(diags), tuple(flips), False)
-            rng = pick_rng if pick_rng is not None else np.random.default_rng(0)
-            w = rng.standard_normal(null_dim)
+            w = pick_rng.standard_normal(n - rank)
             while float(np.linalg.norm(w)) < 1e-8:
-                w = rng.standard_normal(null_dim)
+                w = pick_rng.standard_normal(n - rank)
             vec = null_rows.T @ w
             vec = vec / float(np.linalg.norm(vec))
-
-        vec, flip = sign_normalize(vec, orig + 1, a0)
-        diags.append(
-            ColumnDiagnostic(
-                jj, orig + 1, qt.shape[0], rank, n - 1,
-                status, null_dim, tuple(float(x) for x in svals),
-            )
-        )
-        prior.append(vec)
+        vec, flip = sign_normalize(vec, orig + 1, s0.A0)
+        accepted.append(vec)
         flips.append(flip)
-        columns[orig] = vec
 
-    p_mat = np.column_stack([columns[j] for j in range(n)])
-    return RotationResult(p_mat, tuple(diags), tuple(flips), unique)
+    p_mat = None
+    if len(accepted) == n:
+        p_mat = np.column_stack([accepted[c.permutation.index(j)] for j in range(n)])
+    unique = all(d.status is ColumnStatus.UNIQUE for d in diags)
+    rotation = RotationResult(p_mat, tuple(diags), tuple(flips), unique)
+    return _Walk(s0, f_val, scale, rotation, tuple(accepted))
 
 
 def nonredundancy_at(
@@ -307,9 +298,7 @@ def nonredundancy_at(
             f"counting condition fails at permuted column(s) {bad}; "
             f"q = {tuple(c.q)}"
         )
-    s0 = baseline_structural(r)
-    f_val = assemble_f(s0, spec, tol)
-    return _build_columns(f_val, c, s0.A0, tol, OnRedundancy.ABORT, None, None)
+    return _build_columns(r, c, spec, tol).rotation
 
 
 def construct_rotation(
@@ -319,7 +308,6 @@ def construct_rotation(
     on_redundancy: OnRedundancy = OnRedundancy.ABORT,
     pick_seed: int = 0,
     tol: RankTolerance = DEFAULT_TOL,
-    null_solver=None,
 ) -> RotationResult:
     """Build an orthonormal P whose columns satisfy the restrictions at r.
 
@@ -327,15 +315,13 @@ def construct_rotation(
     gate).  Under PICK_ARBITRARY a rank-deficient column gets a random unit
     vector from its null space, seeded by pick_seed, and the result is
     flagged non-unique; distinct pick seeds generally give distinct but
-    observationally equivalent rotations.  Raises
-    InfeasibleRestrictionsError when a column's stack reaches full rank.
-    null_solver optionally overrides how the unique null vector is computed
-    (testing hook); it receives the stacked matrix and returns a vector.
+    observationally equivalent rotations.  A Unique column is the null
+    vector of its stack, sign-normalized so that entry j of A0 p is
+    positive.  Raises InfeasibleRestrictionsError when a column's stack
+    reaches full rank.
     """
-    s0 = baseline_structural(r)
-    f_val = assemble_f(s0, spec, tol)
     rng = np.random.default_rng(pick_seed) if on_redundancy is OnRedundancy.PICK_ARBITRARY else None
-    return _build_columns(f_val, c, s0.A0, tol, on_redundancy, rng, null_solver)
+    return _build_columns(r, c, spec, tol, rng).rotation
 
 
 def theorem6_check(
@@ -364,13 +350,14 @@ def theorem6_check(
     f_val = assemble_f(s_restricted, spec, tol)
     ranks = []
     for t in range(n):
-        jj = t + 1
         # unit rows for the columns handled at steps 1..j, in original
         # coordinates; with an identity permutation this is [I_j 0]
-        ident = np.zeros((jj, n))
-        for u in range(jj):
-            ident[u, c.permutation[u]] = 1.0
-        stacked = np.vstack([c.Q[t] @ f_val, ident])
+        ident = np.eye(n)[list(c.permutation[:t + 1])]
+        # Q_j f is padded back to k rows with zeros on purpose: the relative
+        # cutoff grows with the row count, so dropping the zero rows would
+        # move the rank decision at borderline restricted points.
+        padding = np.zeros((c.k - c.Q[t].shape[0], n))
+        stacked = np.vstack([c.Q[t] @ f_val, padding, ident])
         rank, _, _ = svd_rank_null(stacked, tol)
         ranks.append(rank)
     required = n * (n - 1) // 2
@@ -384,6 +371,34 @@ def theorem6_check(
         rank_ok=rank_ok,
         passed=count_ok and rank_ok,
     )
+
+
+def _implicated(walk: _Walk, c: CompiledRestrictions, tol: RankTolerance) -> tuple[ImplicatedCell, ...]:
+    """redundancy_explanation at the column where an aborting walk stopped:
+    a row is implied when the stack without it keeps the walk's rank."""
+    if walk.rotation.unique or c.rows is None:
+        return ()
+    stop = walk.rotation.per_column[-1]
+    t = stop.j - 1
+    orig = c.permutation[t]
+    rows = c.Q[t] @ walk.f
+    prior = np.vstack(walk.accepted) if walk.accepted else np.zeros((0, c.dims.n))
+    labels = [c.cell_label(sr, orig) for sr in c.rows[t]]
+    support_cells = [
+        c.cell_label(sr, c.permutation[u])
+        for u in range(t)
+        for sr in c.rows[u]
+    ]
+    dependent = [
+        i
+        for i in range(rows.shape[0])
+        if svd_rank_null(
+            np.vstack([np.delete(rows, i, axis=0), prior]), tol, sigma_floor=walk.scale
+        )[0] == stop.rank
+    ]
+    independent_cells = [labels[i] for i in range(len(labels)) if i not in dependent]
+    implied_by = tuple(support_cells + independent_cells)
+    return tuple(ImplicatedCell(labels[i], orig + 1, implied_by) for i in dependent)
 
 
 def redundancy_explanation(
@@ -403,53 +418,9 @@ def redundancy_explanation(
     """
     if c.rows is None:
         return ()
-    cc = count_condition(c)
-    if not cc.overall:
+    if not count_condition(c).overall:
         raise CountConditionError("redundancy explanation requires the counting condition")
-    s0 = baseline_structural(r)
-    f_val = assemble_f(s0, spec, tol)
-    n = c.dims.n
-    prior: list[np.ndarray] = []
-    scale = max(1.0, float(np.linalg.norm(f_val, 2))) if f_val.size else 1.0
-
-    for t, orig in enumerate(c.permutation):
-        qt = q_tilde(t + 1, c, f_val, prior)
-        rank, null_rows, _ = svd_rank_null(qt, tol, sigma_floor=scale)
-        if rank == n - 1:
-            vec, _ = sign_normalize(null_rows[0], orig + 1, s0.A0)
-            prior.append(vec)
-            continue
-
-        rows = _restriction_rows(c, t, f_val)
-        prior_mat = (
-            np.vstack([p.reshape(1, -1) for p in prior]) if prior else np.zeros((0, n))
-        )
-        labels = [c.cell_label(sr, orig) for sr in c.rows[t]]
-        support_cells = [
-            c.cell_label(sr, c.permutation[u])
-            for u in range(t)
-            for sr in c.rows[u]
-        ]
-        implicated = []
-        dependent = []
-        for i in range(rows.shape[0]):
-            others = np.vstack([np.delete(rows, i, axis=0), prior_mat])
-            with_row = np.vstack([rows, prior_mat])
-            r_without, _, _ = svd_rank_null(others, tol, sigma_floor=scale)
-            r_with, _, _ = svd_rank_null(with_row, tol, sigma_floor=scale)
-            if r_without == r_with:
-                dependent.append(i)
-        independent_cells = [labels[i] for i in range(len(labels)) if i not in dependent]
-        for i in dependent:
-            implicated.append(
-                ImplicatedCell(
-                    cell=labels[i],
-                    column=orig + 1,
-                    implied_by=tuple(support_cells + independent_cells),
-                )
-            )
-        return tuple(implicated)
-    return ()
+    return _implicated(_build_columns(r, c, spec, tol), c, tol)
 
 
 def restricted_point(
@@ -464,11 +435,50 @@ def restricted_point(
     Rotates the baseline point by a PICK_ARBITRARY construction, so it works
     for redundant schemes too (the rotation is then one of infinitely many).
     """
-    rot = construct_rotation(
-        r, c, spec, OnRedundancy.PICK_ARBITRARY, pick_seed=pick_seed, tol=tol
+    walk = _build_columns(r, c, spec, tol, np.random.default_rng(pick_seed))
+    p_mat = walk.rotation.P
+    return StructuralParams(r.dims, walk.s0.A0 @ p_mat, walk.s0.Aplus @ p_mat)
+
+
+def _check(spec: RestrictionSpec, points, tol: RankTolerance) -> IdentificationReport:
+    """Verdict over the walks at points, an iterable of (seed, r) pairs.
+
+    A counting-condition failure is decided without drawing any point.  A
+    redundancy verdict is explained from the first failing point's walk.
+    """
+    c = compile_spec(spec)
+    cc = count_condition(c)
+    n = spec.dims.n
+    records: list[DrawRecord] = []
+    verdict = Verdict.NOT_IDENTIFIED_COUNT_FAILURE
+    implicated: tuple[ImplicatedCell, ...] = ()
+    if cc.overall:
+        first_failing: _Walk | None = None
+        for seed, r in points:
+            walk = _build_columns(r, c, spec, tol)
+            if first_failing is None and not walk.rotation.unique:
+                first_failing = walk
+            records.append(DrawRecord(seed, walk.rotation.per_column, walk.rotation.unique))
+        passes = [rec.passed for rec in records]
+        if all(passes):
+            verdict = Verdict.EXACTLY_IDENTIFIED
+        elif not any(passes):
+            verdict = Verdict.NOT_IDENTIFIED_REDUNDANCY
+            implicated = _implicated(first_failing, c, tol)
+        else:
+            verdict = Verdict.INCONCLUSIVE_DRAW_DISAGREEMENT
+    return IdentificationReport(
+        dims_n=n,
+        dims_p=spec.dims.p,
+        q=c.q,
+        permutation=c.permutation,
+        count=cc,
+        total_restrictions=c.total,
+        total_required=n * (n - 1) // 2,
+        draws=tuple(records),
+        verdict=verdict,
+        implicated=implicated,
     )
-    s0 = baseline_structural(r)
-    return StructuralParams(r.dims, s0.A0 @ rot.P, s0.Aplus @ rot.P)
 
 
 def check_at_point(
@@ -481,38 +491,7 @@ def check_at_point(
     The single evaluation is recorded as a draw with seed None.  Meant for
     callers bringing their own estimated (B, Sigma).
     """
-    c = compile_spec(spec)
-    cc = count_condition(c)
-    n = spec.dims.n
-    required = n * (n - 1) // 2
-    if not cc.overall:
-        return IdentificationReport(
-            dims_n=n,
-            dims_p=spec.dims.p,
-            q=c.q,
-            permutation=c.permutation,
-            count=cc,
-            total_restrictions=c.total,
-            total_required=required,
-            draws=(),
-            verdict=Verdict.NOT_IDENTIFIED_COUNT_FAILURE,
-        )
-    rot = nonredundancy_at(r, c, spec, tol)
-    record = DrawRecord(None, rot.per_column, rot.unique)
-    verdict = Verdict.EXACTLY_IDENTIFIED if rot.unique else Verdict.NOT_IDENTIFIED_REDUNDANCY
-    implicated = () if rot.unique else redundancy_explanation(r, c, spec, tol)
-    return IdentificationReport(
-        dims_n=n,
-        dims_p=spec.dims.p,
-        q=c.q,
-        permutation=c.permutation,
-        count=cc,
-        total_restrictions=c.total,
-        total_required=required,
-        draws=(record,),
-        verdict=verdict,
-        implicated=implicated,
-    )
+    return _check(spec, [(None, r)], tol)
 
 
 def check_exact_identification(
@@ -533,57 +512,9 @@ def check_exact_identification(
     """
     if draws < 2:
         raise ValueError("at least 2 draws are required")
-    c = compile_spec(spec)
-    cc = count_condition(c)
-    n = spec.dims.n
-    required = n * (n - 1) // 2
-    if not cc.overall:
-        return IdentificationReport(
-            dims_n=n,
-            dims_p=spec.dims.p,
-            q=c.q,
-            permutation=c.permutation,
-            count=cc,
-            total_restrictions=c.total,
-            total_required=required,
-            draws=(),
-            verdict=Verdict.NOT_IDENTIFIED_COUNT_FAILURE,
-        )
-
     cfg = config if config is not None else SamplerConfig(dims=spec.dims, seed=seed)
-    records: list[DrawRecord] = []
-    first_failing: ReducedFormParams | None = None
-    for index in range(draws):
-        r = draw_reduced_form(cfg, index)
-        s0 = baseline_structural(r)
-        rot = _build_columns(
-            assemble_f(s0, spec, tol), c, s0.A0, tol, OnRedundancy.ABORT, None, None,
-        )
-        if not rot.unique and first_failing is None:
-            first_failing = r
-        records.append(DrawRecord(stream_key(cfg.seed, index), rot.per_column, rot.unique))
-
-    passes = [rec.passed for rec in records]
-    if all(passes):
-        verdict = Verdict.EXACTLY_IDENTIFIED
-    elif not any(passes):
-        verdict = Verdict.NOT_IDENTIFIED_REDUNDANCY
-    else:
-        verdict = Verdict.INCONCLUSIVE_DRAW_DISAGREEMENT
-
-    implicated: tuple[ImplicatedCell, ...] = ()
-    if verdict is Verdict.NOT_IDENTIFIED_REDUNDANCY and first_failing is not None:
-        implicated = redundancy_explanation(first_failing, c, spec, tol)
-
-    return IdentificationReport(
-        dims_n=n,
-        dims_p=spec.dims.p,
-        q=c.q,
-        permutation=c.permutation,
-        count=cc,
-        total_restrictions=c.total,
-        total_required=required,
-        draws=tuple(records),
-        verdict=verdict,
-        implicated=implicated,
+    points = (
+        (stream_key(cfg.seed, index), draw_reduced_form(cfg, index))
+        for index in range(draws)
     )
+    return _check(spec, points, tol)

@@ -209,12 +209,15 @@ def parse_spec(text: str) -> RestrictionSpec:
 class CompiledRestrictions:
     """Restriction system in processing order (most-restricted column first).
 
-    Q holds one dense k x k selection matrix per column of the permuted
-    system; q holds the per-column restriction counts, nonincreasing by
-    construction.  permutation[t] is the 0-based original column handled at
-    step t (stable sort, so ties keep declaration order).  rows caches the
-    selected stacked-row indices per column when every Q_j is a pure
-    selection matrix; general programmatic Q_j leave it None.
+    Q[t] holds the restriction rows of the column handled at step t, so its
+    restrictions at f read Q[t] @ f.  No all-zero row is stored: a compiled
+    document gives one selector row per zero cell (q_t x k); from_matrices
+    keeps the nonzero rows of each k x k matrix.  Q is made read-only.  q
+    holds the per-column restriction counts, nonincreasing by construction.
+    permutation[t] is the 0-based original column handled at step t (stable
+    sort, so ties keep declaration order).  rows[t] lists the stacked-row
+    index each selector row picks, which names the cells; general
+    programmatic Q_j have no cells and leave it None.
     """
 
     dims: ModelDims
@@ -225,6 +228,10 @@ class CompiledRestrictions:
     permutation: tuple[int, ...]
     total: int
     rows: tuple[tuple[int, ...], ...] | None
+
+    def __post_init__(self):
+        for m in self.Q:
+            m.setflags(write=False)
 
     def cell_label(self, stacked_row: int, original_col: int) -> str:
         """Human name of a restriction cell, e.g. 'IR0[1,2]' (1-based)."""
@@ -242,8 +249,9 @@ class CompiledRestrictions:
     ) -> "CompiledRestrictions":
         """Compile general restriction matrices Q_j given per original column.
 
-        q_j is the numerical rank of Q_j; the dense matrices stay
-        authoritative (rows is None), so the engine multiplies Q_j f in full.
+        Each Q_j is k x k; q_j is its numerical rank.  Its all-zero rows are
+        dropped here, once, and the remaining rows are stored as Q[t]
+        (rows is None: general rows name no cell).
         """
         block_ids = tuple(block_ids)
         k = dims.n * len(block_ids)
@@ -255,16 +263,11 @@ class CompiledRestrictions:
                 raise ValueError(f"each Q must be {k}x{k}, got {m.shape}")
         counts = [numerical_rank(m, tol) for m in mats]
         order = sorted(range(dims.n), key=lambda j: -counts[j])
-        frozen = []
-        for j in order:
-            arr = mats[j].copy()
-            arr.setflags(write=False)
-            frozen.append(arr)
         return cls(
             dims=dims,
             block_ids=block_ids,
             k=k,
-            Q=tuple(frozen),
+            Q=tuple(mats[j][np.any(mats[j] != 0.0, axis=1)] for j in order),
             q=tuple(counts[j] for j in order),
             permutation=tuple(order),
             total=sum(counts),
@@ -276,9 +279,8 @@ def compile_spec(spec: RestrictionSpec) -> CompiledRestrictions:
     """Build selection matrices and counts from a parsed document.
 
     Each Q_j stacks one coordinate-selector row per Zero cell of the
-    (original) column j, selector rows first, padded with zero rows to k x k.
-    Columns are then stably sorted so the restriction counts are
-    nonincreasing.
+    (original) column j, a q_j x k matrix.  Columns are then stably sorted
+    so the restriction counts are nonincreasing.
     """
     n = spec.dims.n
     k = spec.k
@@ -294,19 +296,11 @@ def compile_spec(spec: RestrictionSpec) -> CompiledRestrictions:
     counts = [len(s) for s in row_sets]
     order = sorted(range(n), key=lambda j: -counts[j])
 
-    mats = []
-    for j in order:
-        q_mat = np.zeros((k, k))
-        for pos, r in enumerate(row_sets[j]):
-            q_mat[pos, r] = 1.0
-        q_mat.setflags(write=False)
-        mats.append(q_mat)
-
     return CompiledRestrictions(
         dims=spec.dims,
         block_ids=tuple(b for b, _ in spec.blocks),
         k=k,
-        Q=tuple(mats),
+        Q=tuple(np.eye(k)[list(row_sets[j])] for j in order),
         q=tuple(counts[j] for j in order),
         permutation=tuple(order),
         total=sum(counts),
@@ -341,10 +335,7 @@ def restriction_residual(
     f_val = assemble_f(s, spec, tol)
     worst = 0.0
     for t, orig in enumerate(c.permutation):
-        if c.rows is not None:
-            vals = f_val[list(c.rows[t]), orig] if c.rows[t] else np.zeros(0)
-        else:
-            vals = (c.Q[t] @ f_val)[:, orig]
+        vals = (c.Q[t] @ f_val)[:, orig]
         if vals.size:
             worst = max(worst, float(np.abs(vals).max()))
     return worst

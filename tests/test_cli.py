@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -27,11 +28,14 @@ SIGMA_EYE = str(ROOT / "specs" / "sigma_eye3.txt")
 
 
 def run_cli(*argv):
+    # the child imports the package from src/ whether or not it is installed
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "svarident", *argv],
         capture_output=True,
         text=True,
         cwd=ROOT,
+        env={**os.environ, "PYTHONPATH": path},
     )
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -188,6 +192,15 @@ def test_usage_errors_exit_one(capsys):
     assert main(["check", "--spec", REC3, "--draws", "1"]) == 1
     assert main(["check", "--spec", REC3, "--sigma", REC3]) == 1  # not a matrix
     capsys.readouterr()
+
+
+def test_invalid_tolerance_is_a_usage_error(capsys):
+    for tol in ("-1", "nan"):
+        for command in ("check", "explain", "rotate"):
+            assert main([command, "--spec", REC3, "--tol", tol]) == 1, (command, tol)
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("svar-ident: error: tolerance"), (command, tol)
 
 
 def test_verdict_exit_codes():

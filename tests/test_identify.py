@@ -140,6 +140,8 @@ def test_rotation_diagonal_sign_convention():
 
 
 def test_identified_rotation_is_backend_independent():
+    # at each step, other null-vector solvers applied to the stack built from
+    # P's earlier columns must give column t of P
     solvers = (scipy_null_solver, mixed_rows_null_solver(77))
     for entry in corpus():
         if entry.expected != "identified":
@@ -149,9 +151,15 @@ def test_identified_rotation_is_backend_independent():
         r = draw_reduced_form(SamplerConfig(dims=spec.dims, seed=14), 0)
         base = construct_rotation(r, c, spec)
         assert base.unique
-        for solver in solvers:
-            alt = construct_rotation(r, c, spec, null_solver=solver)
-            assert float(np.abs(alt.P - base.P).max()) <= 1e-8, entry.name
+        s0 = baseline_structural(r)
+        f = assemble_f(s0, spec)
+        for t, orig in enumerate(c.permutation):
+            prior = [base.P[:, c.permutation[u]] for u in range(t)]
+            qt = q_tilde(t + 1, c, f, prior)
+            for solver in solvers:
+                vec = solver(qt)
+                vec, _ = sign_normalize(vec / np.linalg.norm(vec), orig + 1, s0.A0)
+                assert float(np.abs(vec - base.P[:, orig]).max()) <= 1e-8, entry.name
 
 
 def test_rotation_orthonormal_across_corpus():
@@ -271,6 +279,61 @@ def test_check_at_point_explicit():
     assert report.verdict is Verdict.EXACTLY_IDENTIFIED
 
 
+def test_point_dims_must_match_the_spec():
+    spec = parse_spec(COUNTEREXAMPLE)  # n = 3, p = 1
+    wrong_p = SamplerConfig(dims=ModelDims(3, 2))
+    with pytest.raises(ValueError, match=r"n = 3, p = 2 .* n = 3, p = 1"):
+        check_exact_identification(spec, config=wrong_p)
+    with pytest.raises(ValueError, match=r"n = 4, p = 1 .* n = 3, p = 1"):
+        check_at_point(spec, _eye_point(4))
+    c = compile_spec(spec)
+    with pytest.raises(ValueError, match=r"n = 2, p = 1 .* n = 3, p = 1"):
+        construct_rotation(_eye_point(2), c, spec)
+
+
+def test_report_explains_its_first_failing_draw():
+    for entry in corpus():
+        if entry.expected != "redundant":
+            continue
+        spec = parse_spec(entry.text)
+        report = check_exact_identification(spec, draws=5, seed=17)
+        assert report.verdict is Verdict.NOT_IDENTIFIED_REDUNDANCY, entry.name
+        first = next(i for i, d in enumerate(report.draws) if not d.passed)
+        r = draw_reduced_form(SamplerConfig(dims=spec.dims, seed=17), first)
+        explained = redundancy_explanation(r, compile_spec(spec), spec)
+        assert explained and report.implicated == explained, entry.name
+
+
+def test_from_matrices_drops_interleaved_zero_rows():
+    # the same rows handed over compact (zero rows last) or spread among
+    # zero rows must give the walk of the compiled selection system
+    rng = np.random.default_rng(4)
+    for entry in corpus():
+        spec = parse_spec(entry.text)
+        c_sel = compile_spec(spec)
+        k = c_sel.k
+        compact, spread = {}, {}
+        for t, orig in enumerate(c_sel.permutation):
+            q_rows = c_sel.Q[t]
+            compact[orig] = np.vstack([q_rows, np.zeros((k - len(q_rows), k))])
+            spread[orig] = np.zeros((k, k))
+            spread[orig][np.sort(rng.choice(k, len(q_rows), replace=False))] = q_rows
+        systems = [
+            CompiledRestrictions.from_matrices(
+                spec.dims, c_sel.block_ids, [by_orig[j] for j in range(spec.dims.n)]
+            )
+            for by_orig in (compact, spread)
+        ]
+        cfg = SamplerConfig(dims=spec.dims, seed=12)
+        for index in range(3):
+            r = draw_reduced_form(cfg, index)
+            want = [(d.rank, d.qtilde_rows) for d in nonredundancy_at(r, c_sel, spec).per_column]
+            for c_gen in systems:
+                assert c_gen.q == c_sel.q, entry.name
+                got = [(d.rank, d.qtilde_rows) for d in nonredundancy_at(r, c_gen, spec).per_column]
+                assert got == want, entry.name
+
+
 def test_nonredundancy_gates_on_count():
     spec = parse_spec(OVERCOUNTED)
     c = compile_spec(spec)
@@ -362,7 +425,11 @@ def test_redundancy_explanation_cases():
 def test_redundancy_explanation_skips_general_matrices():
     spec = parse_spec(COUNTEREXAMPLE)
     c_sel = compile_spec(spec)
-    by_orig = {orig: c_sel.Q[t] for t, orig in enumerate(c_sel.permutation)}
+    k = c_sel.k
+    by_orig = {
+        orig: np.vstack([c_sel.Q[t], np.zeros((k - c_sel.q[t], k))])
+        for t, orig in enumerate(c_sel.permutation)
+    }
     c_gen = CompiledRestrictions.from_matrices(
         spec.dims, c_sel.block_ids, [by_orig[j] for j in range(3)]
     )

@@ -209,7 +209,10 @@ def test_from_matrices_equivalent_to_compiled_selection():
     c_sel = compile_spec(spec)
     # rebuild the same system as dense matrices handed over per original column
     k, n = c_sel.k, 3
-    by_orig = {orig: c_sel.Q[t] for t, orig in enumerate(c_sel.permutation)}
+    by_orig = {
+        orig: np.vstack([c_sel.Q[t], np.zeros((k - c_sel.q[t], k))])
+        for t, orig in enumerate(c_sel.permutation)
+    }
     c_gen = CompiledRestrictions.from_matrices(
         spec.dims, c_sel.block_ids, [by_orig[j] for j in range(n)]
     )
