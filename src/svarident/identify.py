@@ -27,7 +27,7 @@ from .restrictions import (
     RestrictionSpec,
     assemble_f,
     compile_spec,
-    restriction_residual,
+    worst_violation,
 )
 from .sampler import SamplerConfig, draw_reduced_form, stream_key
 
@@ -338,16 +338,21 @@ def theorem6_check(
     identification requires every rank to equal n and the restriction total
     to equal n(n-1)/2.  The point must actually satisfy the restrictions:
     at unrestricted points the rank test is vacuous, which is exactly how
-    redundant schemes evade it.
+    redundant schemes evade it.  residual_tol is relative: the point counts
+    as restricted when the worst restricted entry of f is at most
+    residual_tol * max(1, max|f|), because IR blocks at long horizons make
+    f's entries, and with them the roundoff in a zero restriction, large.
     """
-    residual = restriction_residual(s_restricted, c, spec, tol)
-    if residual > residual_tol:
+    f_val = assemble_f(s_restricted, spec, tol)
+    residual = worst_violation(c, f_val)
+    bound = residual_tol * max(1.0, float(np.abs(f_val).max()))
+    if residual > bound:
         raise UnrestrictedPointError(
-            f"restriction residual {residual:.3e} exceeds {residual_tol:.1e}; "
-            "evaluate at a restricted point (see construct_rotation)"
+            f"restriction residual {residual:.3e} exceeds {residual_tol:.1e} * "
+            f"max(1, max|f|) = {bound:.3e}; evaluate at a restricted point "
+            "(see construct_rotation)"
         )
     n = c.dims.n
-    f_val = assemble_f(s_restricted, spec, tol)
     ranks = []
     for t in range(n):
         # unit rows for the columns handled at steps 1..j, in original

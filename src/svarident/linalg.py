@@ -34,6 +34,8 @@ class RankTolerance:
     policy "relative": cutoff = value * sigma_max, with value defaulting to
     max(rows, cols) * machine epsilon (the conventional rank rule).
     policy "absolute": cutoff = value, which must be supplied.
+    A value must be finite and nonnegative: an infinite cutoff would call
+    every matrix rank 0.
     """
 
     policy: str = "relative"
@@ -44,8 +46,8 @@ class RankTolerance:
             raise ValueError(f"unknown tolerance policy {self.policy!r}")
         if self.policy == "absolute" and self.value is None:
             raise ValueError("absolute tolerance requires a value")
-        if self.value is not None and not self.value >= 0.0:
-            raise ValueError("tolerance value must be nonnegative")
+        if self.value is not None and not 0.0 <= self.value < np.inf:
+            raise ValueError("tolerance value must be finite and nonnegative")
 
     def resolve(self, shape: tuple[int, int], sigma_max: float) -> float:
         if self.policy == "absolute":

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import NotSymmetricError, SingularA0Error
 from .linalg import (
@@ -112,14 +111,18 @@ def to_reduced_form(s: StructuralParams, tol: RankTolerance = DEFAULT_TOL) -> Re
 def baseline_structural(r: ReducedFormParams) -> StructuralParams:
     """Rotation-free structural point for a reduced-form parameter.
 
-    With L the lower Cholesky factor of Sigma, sets A0' = L^{-1} and
-    Aplus = B (L^{-1})'.  The triangular solve keeps the zero triangle of
-    L^{-1} exact, so A0 is exactly upper triangular.
+    With L the lower Cholesky factor of Sigma, sets A0 = (L^{-1})' = (L')^{-1}
+    and Aplus = B A0.  A0 is computed as the inverse of the upper-triangular
+    L' by LU: every subdiagonal entry of a column of L' is zero, so partial
+    pivoting never swaps rows, the elimination multipliers are all zero and
+    the solve is a plain back substitution.  The zero triangle of A0 is
+    therefore exact (0.0, never -0.0), and A0 is exactly upper triangular.
+    Inverting L itself instead would swap rows to pivot on its column
+    maxima and lose accuracy when L is ill-conditioned.
     """
-    n = r.dims.n
     low = cholesky_lower(r.Sigma)
-    linv = scipy.linalg.solve_triangular(low, np.eye(n), lower=True)
-    return StructuralParams(r.dims, linv.T, r.B @ linv.T)
+    a0 = np.linalg.inv(low.T)
+    return StructuralParams(r.dims, a0, r.B @ a0)
 
 
 def contemporaneous_ir(a0, tol: RankTolerance = DEFAULT_TOL) -> np.ndarray:

@@ -332,7 +332,11 @@ def restriction_residual(
 ) -> float:
     """Worst violated zero restriction: max_j ||Q_j f e_j||_inf through the
     recorded column permutation.  Zero (up to roundoff) on the restricted set."""
-    f_val = assemble_f(s, spec, tol)
+    return worst_violation(c, assemble_f(s, spec, tol))
+
+
+def worst_violation(c: CompiledRestrictions, f_val: np.ndarray) -> float:
+    """restriction_residual for an already assembled f."""
     worst = 0.0
     for t, orig in enumerate(c.permutation):
         vals = (c.Q[t] @ f_val)[:, orig]

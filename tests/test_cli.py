@@ -195,12 +195,50 @@ def test_usage_errors_exit_one(capsys):
 
 
 def test_invalid_tolerance_is_a_usage_error(capsys):
-    for tol in ("-1", "nan"):
+    # an infinite cutoff would call every column rank 0 and report an
+    # identified scheme as redundant
+    for tol in ("-1", "nan", "inf"):
         for command in ("check", "explain", "rotate"):
             assert main([command, "--spec", REC3, "--tol", tol]) == 1, (command, tol)
             captured = capsys.readouterr()
             assert captured.out == ""
             assert captured.err.startswith("svar-ident: error: tolerance"), (command, tol)
+
+
+def test_check_does_not_import_scipy():
+    # scipy costs a cold start more than the rest of the package together
+    script = (
+        "import contextlib, io, sys\n"
+        "from svarident.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = main(['check', '--spec', {REC3!r}])\n"
+        "print(code, sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+    )
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, cwd=ROOT,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0 []"
+
+
+def test_cross_check_shown_when_f_is_large(tmp_path, capsys):
+    # IR12 makes max|f| about 1.4e6 at this draw; the restricted point's
+    # residual (about 2e-8) is roundoff at that scale, so the cross-check runs
+    spec = tmp_path / "ir12.spec"
+    spec.write_text(
+        "n = 5\np = 2\n"
+        "block A0\nx x x x x\nx x x x 0\nx x 0 x 0\nx x x x x\nx x x x x\n"
+        "block LAG1\n0 x x 0 0\nx x x x x\nx x x x x\nx x x x x\nx x x x x\n"
+        "block IR0\nx x x x x\nx x x x x\nx x x x x\nx x x x x\nx x x x 0\n"
+        "block IR12\nx x x x x\nx x x x x\n0 x x 0 x\nx x x x x\n0 x x x x\n",
+        encoding="utf-8",
+    )
+    assert main(["check", "--spec", str(spec), "--seed", "1000014", "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["verdict"] == "ExactlyIdentified"
+    assert payload["theorem6"] == {"ranks": [5, 5, 5, 5, 5], "pass": True}
 
 
 def test_verdict_exit_codes():

@@ -31,6 +31,7 @@ from svarident.linalg import RankTolerance, unit_null_vector
 from svarident.model import (
     ModelDims,
     ReducedFormParams,
+    StructuralParams,
     baseline_structural,
     to_reduced_form,
 )
@@ -215,6 +216,24 @@ def test_theorem6_rejects_unrestricted_point():
     r = draw_reduced_form(SamplerConfig(dims=spec.dims, seed=3), 0)
     with pytest.raises(UnrestrictedPointError):
         theorem6_check(baseline_structural(r), c, spec)
+
+
+def test_theorem6_residual_tolerance_is_relative_to_f():
+    # recursive A0 scheme; a free entry of size 1e4 sets max|f| = 1e4, so a
+    # restricted entry passes at 1e-5 (absolute residual above 1e-8) and
+    # fails at 1e-3 (relative residual above 1e-8)
+    spec = parse_spec(recursive_spec_text(3, 0))
+    c = compile_spec(spec)
+    for entry, ok in ((1e-5, True), (1e-3, False)):
+        a0 = np.triu(np.ones((3, 3))) + 2.0 * np.eye(3)
+        a0[0, 2] = 1e4
+        a0[1, 0] = entry
+        s = StructuralParams(spec.dims, a0, np.zeros((1, 3)))
+        if ok:
+            assert theorem6_check(s, c, spec).ranks == (3, 3, 3)
+        else:
+            with pytest.raises(UnrestrictedPointError):
+                theorem6_check(s, c, spec)
 
 
 def test_theorem6_count_mismatch_reported():

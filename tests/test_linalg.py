@@ -65,6 +65,11 @@ def test_rank_tolerance_validation():
         RankTolerance(policy="absolute")
     with pytest.raises(ValueError):
         RankTolerance(value=-1.0)
+    for bad in (np.inf, -np.inf, np.nan):
+        with pytest.raises(ValueError):
+            RankTolerance(policy="absolute", value=bad)
+        with pytest.raises(ValueError):
+            RankTolerance(value=bad)
     assert RankTolerance(policy="absolute", value=0.5).resolve((3, 3), 100.0) == 0.5
 
 

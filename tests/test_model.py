@@ -7,7 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from svarident.errors import NotSymmetricError, SingularA0Error
-from svarident.linalg import random_orthogonal
+from svarident.linalg import cholesky_lower, random_orthogonal
 from svarident.model import (
     ModelDims,
     ReducedFormParams,
@@ -113,10 +113,28 @@ def test_baseline_closed_form_n2():
 
 
 def test_baseline_upper_triangular_exactly():
-    cfg = SamplerConfig(dims=ModelDims(5, 2), seed=31)
-    for idx in range(20):
-        s = baseline_structural(draw_reduced_form(cfg, idx))
-        assert np.all(np.tril(s.A0, -1) == 0.0)
+    # the zero triangle is exactly +0.0: no roundoff and no -0.0
+    for n in (5, 20):
+        cfg = SamplerConfig(dims=ModelDims(n, 2), seed=31)
+        for idx in range(20):
+            s = baseline_structural(draw_reduced_form(cfg, idx))
+            assert np.all(np.tril(s.A0, -1) == 0.0), (n, idx)
+            assert not np.any((s.A0 == 0.0) & np.signbit(s.A0)), (n, idx)
+
+
+@pytest.mark.parametrize("n", [3, 10, 20, 30])
+def test_baseline_matches_triangular_solve_oracle(n):
+    # scipy's triangular solve (L^{-1})' is the reference A0, Aplus = B A0
+    scipy_linalg = pytest.importorskip("scipy.linalg")
+    cfg = SamplerConfig(dims=ModelDims(n, 2), seed=7)
+    for idx in range(10):
+        r = draw_reduced_form(cfg, idx)
+        low = cholesky_lower(r.Sigma)
+        a0 = scipy_linalg.solve_triangular(low, np.eye(n), lower=True).T
+        s = baseline_structural(r)
+        for got, want in ((s.A0, a0), (s.Aplus, r.B @ a0)):
+            err = np.abs(got - want).max() / np.abs(want).max()
+            assert err <= 1e-12, (n, idx, err)
 
 
 def test_baseline_impact_equals_cholesky_factor():
