@@ -23,23 +23,19 @@ from .errors import (
     UnrestrictedPointError,
 )
 from .identify import (
-    IdentificationReport,
-    OnRedundancy,
-    Theorem6Result,
     Verdict,
-    check_at_point,
+    _check,
+    _picked,
+    _sampled,
     check_exact_identification,
-    construct_rotation,
     count_condition,
     q_tilde,
-    restricted_point,
     theorem6_check,
 )
 from .linalg import DEFAULT_TOL, RankTolerance
-from .model import ModelDims, ReducedFormParams, StructuralParams, baseline_structural
+from .model import ModelDims, ReducedFormParams
 from .restrictions import (
     RestrictionSpec,
-    assemble_f,
     compile_spec,
     parse_spec,
     restriction_residual,
@@ -103,8 +99,7 @@ def _tolerance(args) -> RankTolerance:
 def _load_spec(args) -> RestrictionSpec:
     if not args.spec:
         raise SpecError("--spec is required for this command")
-    text = Path(args.spec).read_text(encoding="utf-8")
-    return parse_spec(text)
+    return parse_spec(Path(args.spec).read_text(encoding="utf-8"))
 
 
 def _load_matrix(path: str, shape: tuple[int, int], name: str) -> np.ndarray:
@@ -121,35 +116,29 @@ def _explicit_point(args, dims: ModelDims) -> ReducedFormParams:
     return ReducedFormParams(dims, b, sigma)
 
 
-def _theorem6_for_report(spec, r, tol) -> Theorem6Result | None:
-    c = compile_spec(spec)
-    try:
-        s_rot = restricted_point(r, c, spec, pick_seed=0, tol=tol)
-        return theorem6_check(s_rot, c, spec, tol)
-    except (InfeasibleRestrictionsError, UnrestrictedPointError):
-        return None
-
-
-def _run_check(args, tol) -> tuple[IdentificationReport, Theorem6Result | None]:
+def _run_check(args, tol) -> tuple:
+    """(spec, its compilation, the cross-check's point, the verdict there)."""
     spec = _load_spec(args)
-    explicit = args.sigma is not None or args.b is not None
-    if explicit:
+    c = compile_spec(spec)
+    if args.sigma is not None or args.b is not None:
         r0 = _explicit_point(args, spec.dims)
-        report = check_at_point(spec, r0, tol)
-    else:
-        if args.draws < 2:
-            raise ValueError("--draws must be at least 2")
-        report = check_exact_identification(
-            spec, draws=args.draws, seed=args.seed, tol=tol
-        )
-        r0 = draw_reduced_form(SamplerConfig(dims=spec.dims, seed=args.seed), 0)
-    theorem6 = _theorem6_for_report(spec, r0, tol) if report.count.overall else None
-    return report, theorem6
+        return spec, c, r0, _check(spec, c, [None], [r0], tol)
+    if args.draws < 2:
+        raise ValueError("--draws must be at least 2")
+    cfg = SamplerConfig(dims=spec.dims, seed=args.seed)
+    return spec, c, draw_reduced_form(cfg, 0), _check(spec, c, *_sampled(cfg, args.draws), tol)
 
 
 def _cmd_check(args) -> int:
     try:
-        report, theorem6 = _run_check(args, _tolerance(args))
+        tol = _tolerance(args)
+        spec, c, r0, report = _run_check(args, tol)
+        theorem6 = None
+        if report.count.overall:
+            try:
+                theorem6 = theorem6_check(_picked(r0, c, spec, tol, 0)[1], c, spec, tol)
+            except (InfeasibleRestrictionsError, UnrestrictedPointError):
+                pass
     except (OSError, ValueError, SvarIdentError) as exc:
         return _fail(str(exc))
     if args.format == "json":
@@ -163,7 +152,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_explain(args) -> int:
     try:
-        report, _ = _run_check(args, _tolerance(args))
+        report = _run_check(args, _tolerance(args))[3]
     except (OSError, ValueError, SvarIdentError) as exc:
         return _fail(str(exc))
     verdict = report.verdict
@@ -179,40 +168,29 @@ def _cmd_explain(args) -> int:
         }
         sys.stdout.write(render_json(payload))
     else:
-        sys.stdout.write("svar-ident explain\n")
-        sys.stdout.write(f"spec: {args.spec}\n")
+        lines = ["svar-ident explain", f"spec: {args.spec}"]
         if verdict is Verdict.NOT_IDENTIFIED_REDUNDANCY:
-            for cell in report.implicated:
-                implied = ", ".join(cell.implied_by)
-                sys.stdout.write(
-                    f"{cell.cell} is implied by other restrictions: {implied}\n"
-                )
-            if not report.implicated:
-                sys.stdout.write(
-                    "redundancy detected but no selection cells to name\n"
-                )
+            lines += [
+                f"{cell.cell} is implied by other restrictions: {', '.join(cell.implied_by)}"
+                for cell in report.implicated
+            ] or ["redundancy detected but no selection cells to name"]
         elif verdict is Verdict.EXACTLY_IDENTIFIED:
-            sys.stdout.write("model is exactly identified; nothing to explain\n")
+            lines.append("model is exactly identified; nothing to explain")
         elif verdict is Verdict.NOT_IDENTIFIED_COUNT_FAILURE:
-            sys.stdout.write(
-                "counting condition fails; run 'svar-ident check' for the "
-                "per-column table\n"
-            )
+            lines.append("counting condition fails; run 'svar-ident check' for the "
+                         "per-column table")
         else:
-            sys.stdout.write("draws disagree; verdict is inconclusive\n")
-    if verdict is Verdict.NOT_IDENTIFIED_REDUNDANCY:
-        return 0
-    if verdict is Verdict.INCONCLUSIVE_DRAW_DISAGREEMENT:
-        return 3
-    return 2
+            lines.append("draws disagree; verdict is inconclusive")
+        sys.stdout.write("\n".join(lines) + "\n")
+    codes = {Verdict.NOT_IDENTIFIED_REDUNDANCY: 0, Verdict.INCONCLUSIVE_DRAW_DISAGREEMENT: 3}
+    return codes.get(verdict, 2)
 
 
 def _cmd_rotate(args) -> int:
     try:
         tol = _tolerance(args)
         spec = _load_spec(args)
-        explicit = args.sigma is not None or args.b is not None
-        if explicit:
+        if args.sigma is not None or args.b is not None:
             r = _explicit_point(args, spec.dims)
             source = "files"
         else:
@@ -223,22 +201,18 @@ def _cmd_rotate(args) -> int:
 
     c = compile_spec(spec)
     try:
-        rot = construct_rotation(
-            r, c, spec, OnRedundancy.PICK_ARBITRARY, pick_seed=0, tol=tol
-        )
+        walk, s_rot = _picked(r, c, spec, tol, 0)
     except InfeasibleRestrictionsError as exc:
         print(f"svar-ident: infeasible: {exc}", file=sys.stderr)
         return 2
     except SvarIdentError as exc:
         return _fail(str(exc))
 
-    s0 = baseline_structural(r)
-    s_rot = StructuralParams(spec.dims, s0.A0 @ rot.P, s0.Aplus @ rot.P)
     residual = restriction_residual(s_rot, c, spec, tol)
     rotated = (s_rot.A0, s_rot.Aplus)
     if args.format == "json":
         payload = rotation_report_dict(
-            rot, args.spec, source, residual, rotated,
+            walk.rotation, args.spec, source, residual, rotated,
             spec.dims.n, spec.dims.p, c.q, c.permutation,
         )
         sys.stdout.write(render_json(payload))
@@ -246,7 +220,7 @@ def _cmd_rotate(args) -> int:
         sys.stdout.write("svar-ident rotate\n")
         sys.stdout.write(
             rotation_report_text(
-                rot, args.spec, source, residual, rotated, spec.dims.n, spec.dims.p
+                walk.rotation, args.spec, source, residual, rotated, spec.dims.n, spec.dims.p
             )
         )
     return 0
@@ -258,10 +232,9 @@ def _cmd_demo(args) -> int:
     c = compile_spec(spec)
     dims = spec.dims
     r = ReducedFormParams(dims, np.zeros((dims.m, dims.n)), np.eye(dims.n))
-    s0 = baseline_structural(r)
-    f_val = assemble_f(s0, spec)
-    # one walk gives the ranks, p1 and the restricted point for the cross-check
-    rot = construct_rotation(r, c, spec, OnRedundancy.PICK_ARBITRARY, pick_seed=0)
+    # one walk gives f, the ranks, p1 and the restricted point for the cross-check
+    walk, s_rot = _picked(r, c, spec, DEFAULT_TOL, 0)
+    f_val, rot = walk.f, walk.rotation
     first, second = rot.per_column[:2]
 
     out.write("svar-ident demo: counting restrictions is not enough\n")
@@ -289,7 +262,6 @@ def _cmd_demo(args) -> int:
         "the impact restriction is implied by the A0 zeros\n"
     )
 
-    s_rot = StructuralParams(dims, s0.A0 @ rot.P, s0.Aplus @ rot.P)
     t6 = theorem6_check(s_rot, c, spec)
     out.write("\nrank cross-check at a restricted point:\n")
     for t, rank in enumerate(t6.ranks):

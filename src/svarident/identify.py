@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import islice
 from typing import NamedTuple
 
 import numpy as np
@@ -32,6 +33,9 @@ from .restrictions import (
 from .sampler import SamplerConfig, draw_reduced_form, stream_key
 
 _SIGN_EPS = 1e-12
+# A check walks its draws in batches of _BATCH_ENTRIES // n^2, so that each
+# stacked n x n array of the walk stays near 8000 entries (64 kB).
+_BATCH_ENTRIES = 8000
 
 
 class ColumnStatus(Enum):
@@ -79,8 +83,9 @@ class RotationResult:
 
     P is None when the construction aborted on a rank-deficient column;
     sign_flips records the +-1 applied to each accepted column, in processing
-    order.  unique is True only if every column had a one-dimensional null
-    space.
+    order, relative to the orientation that makes its largest entry
+    positive.  unique is True only if every column had a one-dimensional
+    null space.
     """
 
     P: np.ndarray | None
@@ -193,90 +198,125 @@ def sign_normalize(p, j: int, a0) -> tuple[np.ndarray, int]:
 
 
 class _Walk(NamedTuple):
-    """One walk at a reduced-form point: the baseline point, f there, the
-    scale of its rank cutoffs, the rotation result and the columns accepted,
-    in processing order."""
+    """One point's walk: baseline A0, f, rotation and, if it stopped, the
+    orthonormal basis N of the complement of its columns."""
 
-    s0: StructuralParams
+    a0: np.ndarray
     f: np.ndarray
-    scale: float
     rotation: RotationResult
-    accepted: tuple[np.ndarray, ...]
+    basis: np.ndarray | None
 
 
-def _build_columns(
-    r: ReducedFormParams,
-    c: CompiledRestrictions,
-    spec: RestrictionSpec,
-    tol: RankTolerance,
-    pick_rng: np.random.Generator | None = None,
-) -> _Walk:
-    """The sequential column walk at r, the one that every verdict, rotation,
-    restricted point and explanation reads.
+def _projected_svd(qf: np.ndarray, basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Singular values s_i / sqrt(1 + c_i^2), sorted, and right singular
+    vectors (rows) of the blocks (Q[t] f) N.  c_i is the norm of u_i' Q[t] f
+    along the accepted columns: the quotient is about the singular value of
+    the stack [Q[t] f; accepted'] in direction i, and the rounding error of
+    the accepted columns reaches s_i times c_i."""
+    u, s, vh = np.linalg.svd(qf @ basis, full_matrices=True)
+    k = s.shape[-1]
+    along = np.swapaxes(u, -1, -2)[..., :k, :] @ qf
+    s = s / np.sqrt(1.0 + np.maximum(np.einsum("...ij,...ij->...i", along, along) - s * s, 0.0))
+    order = np.argsort(-s, axis=-1, kind="stable")
+    if (order != np.arange(k)).any():
+        s = np.take_along_axis(s, order, -1)
+        vh[..., :k, :] = np.take_along_axis(vh[..., :k, :], order[..., None], -2)
+    return s, vh
 
-    Each step stacks the column's restriction rows at f with the columns
-    accepted so far and takes the null space of the stack.  With pick_rng
-    None the walk stops at the first rank-deficient column (P is None);
-    otherwise that column gets a random unit vector from its null space.
+
+def _pick(rng: np.random.Generator, null_rows: np.ndarray) -> np.ndarray:
+    """A random unit vector in the span of the orthonormal null_rows: one
+    N(0, I_n) draw projected onto that span, so that the pick depends on the
+    null space alone and not on the basis an SVD happened to return."""
+    vec = null_rows.T @ (null_rows @ rng.standard_normal(null_rows.shape[1]))
+    return vec / float(np.linalg.norm(vec))
+
+
+def _build_columns(points, c: CompiledRestrictions, spec: RestrictionSpec, tol: RankTolerance,
+                   pick_rng: np.random.Generator | None = None) -> list[_Walk]:
+    """The sequential column walk, the one every verdict, rotation,
+    restricted point and explanation reads, at all points together.
+
+    At step t, with N an orthonormal basis of the complement of the columns
+    accepted so far, one SVD of the blocks Q[t] f N gives the rank t + #(s >
+    cutoff) of each stack [Q[t] f; accepted'] (s from _projected_svd, cutoff
+    against max(1, ||f||_2)), its null vector N v_last and the next basis
+    N V[:rank]'.  With pick_rng None a point stops at its first
+    rank-deficient column (P is None); otherwise that column gets a random
+    unit vector from its null space.  Full rank raises at once.
     """
-    if r.dims != spec.dims:
-        raise ValueError(
-            f"reduced-form point has n = {r.dims.n}, p = {r.dims.p} but the "
-            f"restrictions are for n = {spec.dims.n}, p = {spec.dims.p}"
-        )
-    s0 = baseline_structural(r)
-    f_val = assemble_f(s0, spec, tol)
-    n = c.dims.n
-    # The prior columns carry rounding error on the order of eps times the
-    # norm of the full stack they were extracted from, so rank decisions on
-    # the small per-column stacks must be cut off at that scale, not their own.
-    scale = max(1.0, float(np.linalg.norm(f_val, 2))) if f_val.size else 1.0
-    accepted: list[np.ndarray] = []
-    diags: list[ColumnDiagnostic] = []
-    flips: list[int] = []
+    f, a0 = [], []
+    for r in points:  # one pass, keeping only f and A0 of each point
+        if r.dims != spec.dims:
+            raise ValueError(f"reduced-form point has n = {r.dims.n}, p = {r.dims.p} but the "
+                             f"restrictions are for n = {spec.dims.n}, p = {spec.dims.p}")
+        s0 = baseline_structural(r)
+        f.append(assemble_f(s0, spec, tol))
+        a0.append(s0.A0)
+    f, a0 = np.stack(f), np.stack(a0)
+    scale = np.maximum(1.0, np.linalg.norm(f, 2, axis=(1, 2)))
+    n, m = c.dims.n, len(f)
+    idx = np.arange(m)  # the points still walking, with their f, scale and N
+    f_act, scale_act = f, scale
+    basis = np.broadcast_to(np.eye(n), (m, n, n))
+    p_mat = np.zeros((m, n, n))
+    diags: list[list[ColumnDiagnostic]] = [[] for _ in range(m)]
+    ends: list[np.ndarray | None] = [None] * m
 
     for t, orig in enumerate(c.permutation):
-        qt = q_tilde(t + 1, c, f_val, accepted)
-        rank, null_rows, svals = svd_rank_null(qt, tol, sigma_floor=scale)
-        if rank >= n:
-            status = ColumnStatus.INFEASIBLE
-        elif rank == n - 1:
-            status = ColumnStatus.UNIQUE
-        else:
-            status = ColumnStatus.REDUNDANT
-        diags.append(
-            ColumnDiagnostic(
-                t + 1, orig + 1, qt.shape[0], rank, n - 1,
-                status, n - rank, tuple(float(x) for x in svals),
-            )
-        )
-        if status is ColumnStatus.INFEASIBLE:
-            err = InfeasibleRestrictionsError(
-                f"restrictions on column {orig + 1} admit no unit vector "
-                f"(rank {rank} = n at processing step {t + 1})"
-            )
-            err.diagnostics = tuple(diags)
-            raise err
-        if status is ColumnStatus.UNIQUE:
-            vec = null_rows[0]
-        elif pick_rng is None:
+        if not idx.size:
             break
-        else:
-            w = pick_rng.standard_normal(n - rank)
-            while float(np.linalg.norm(w)) < 1e-8:
-                w = pick_rng.standard_normal(n - rank)
-            vec = null_rows.T @ w
-            vec = vec / float(np.linalg.norm(vec))
-        vec, flip = sign_normalize(vec, orig + 1, s0.A0)
-        accepted.append(vec)
-        flips.append(flip)
+        svals, vh = _projected_svd(c.Q[t] @ f_act, basis)
+        rows = c.Q[t].shape[0] + t
+        cutoff = np.reshape(tol.resolve((rows, n), scale_act), (-1, 1))
+        ranks = t + np.count_nonzero(svals > cutoff, axis=1)
+        # the null vector and the next basis, in the coordinates of N
+        local, nxt = vh[:, -1], vh[:, :-1]
+        for a, i in enumerate(idx):
+            rank = int(ranks[a])
+            status = (ColumnStatus.INFEASIBLE if rank >= n else ColumnStatus.UNIQUE
+                      if rank == n - 1 else ColumnStatus.REDUNDANT)
+            diags[i].append(ColumnDiagnostic(t + 1, orig + 1, rows, rank, n - 1, status,
+                                             n - rank, tuple(svals[a].tolist())))
+            if status is ColumnStatus.INFEASIBLE:
+                err = InfeasibleRestrictionsError(
+                    f"restrictions on column {orig + 1} admit no unit vector "
+                    f"(rank {rank} = n at processing step {t + 1})"
+                )
+                err.diagnostics = tuple(diags[i])
+                raise err
+            if status is ColumnStatus.REDUNDANT and pick_rng is None:
+                ends[i] = basis[a]
+            elif status is ColumnStatus.REDUNDANT:
+                local[a] = basis[a].T @ _pick(pick_rng, vh[a, rank - t:] @ basis[a].T)
+                nxt[a] = np.linalg.svd(local[a][None, :])[2][1:]
+        keep = (ranks == n - 1) | (pick_rng is not None)  # an aborting point stops
+        if not keep.all():
+            idx, basis, local, nxt = idx[keep], basis[keep], local[keep], nxt[keep]
+            f_act, scale_act = f_act[keep], scale_act[keep]
+        p_mat[idx, :, orig] = (basis @ local[:, :, None])[:, :, 0]
+        basis = basis @ np.swapaxes(nxt, 1, 2)
 
-    p_mat = None
-    if len(accepted) == n:
-        p_mat = np.column_stack([accepted[c.permutation.index(j)] for j in range(n)])
-    unique = all(d.status is ColumnStatus.UNIQUE for d in diags)
-    rotation = RotationResult(p_mat, tuple(diags), tuple(flips), unique)
-    return _Walk(s0, f_val, scale, rotation, tuple(accepted))
+    # Orient each column by its largest entry (sign_flips must not depend on
+    # an SVD's signs), then sign_normalize all at once; a near-zero pivot of
+    # an accepted column falls back to it.
+    p_mat *= np.sign(np.take_along_axis(p_mat, np.abs(p_mat).argmax(axis=1)[:, None], 1))
+    image = a0 @ p_mat
+    pivot = np.diagonal(image, axis1=1, axis2=2)
+    flips = np.where(pivot > 0, 1, -1)
+    weak = np.abs(pivot) <= _SIGN_EPS * np.maximum(1.0, np.abs(image).max(axis=1))
+    weak &= p_mat.any(axis=1)
+    for i, j in zip(*np.nonzero(weak)):
+        flips[i, j] = sign_normalize(p_mat[i, :, j], j + 1, a0[i])[1]
+    p_mat = p_mat * flips[:, None, :] + 0.0  # + 0.0 turns -0.0 into 0.0
+    walks = []
+    for i in range(m):
+        accepted = c.permutation[:n if ends[i] is None else len(diags[i]) - 1]
+        unique = all(d.status is ColumnStatus.UNIQUE for d in diags[i])
+        rotation = RotationResult(p_mat[i] if ends[i] is None else None, tuple(diags[i]),
+                                  tuple(flips[i, list(accepted)].tolist()), unique)
+        walks.append(_Walk(a0[i], f[i], rotation, ends[i]))
+    return walks
 
 
 def nonredundancy_at(
@@ -298,7 +338,7 @@ def nonredundancy_at(
             f"counting condition fails at permuted column(s) {bad}; "
             f"q = {tuple(c.q)}"
         )
-    return _build_columns(r, c, spec, tol).rotation
+    return _build_columns([r], c, spec, tol)[0].rotation
 
 
 def construct_rotation(
@@ -313,15 +353,15 @@ def construct_rotation(
 
     Under ABORT behaves like nonredundancy_at (minus the counting-condition
     gate).  Under PICK_ARBITRARY a rank-deficient column gets a random unit
-    vector from its null space, seeded by pick_seed, and the result is
-    flagged non-unique; distinct pick seeds generally give distinct but
-    observationally equivalent rotations.  A Unique column is the null
-    vector of its stack, sign-normalized so that entry j of A0 p is
-    positive.  Raises InfeasibleRestrictionsError when a column's stack
-    reaches full rank.
+    vector from its null space (one N(0, I) draw, seeded by pick_seed,
+    projected onto it), and the result is flagged non-unique; distinct pick
+    seeds generally give distinct but observationally equivalent rotations.
+    A Unique column is the null vector of its stack, sign-normalized so that
+    entry j of A0 p is positive.  Raises InfeasibleRestrictionsError when a
+    column's stack reaches full rank.
     """
     rng = np.random.default_rng(pick_seed) if on_redundancy is OnRedundancy.PICK_ARBITRARY else None
-    return _build_columns(r, c, spec, tol, rng).rotation
+    return _build_columns([r], c, spec, tol, rng)[0].rotation
 
 
 def theorem6_check(
@@ -363,8 +403,7 @@ def theorem6_check(
         # move the rank decision at borderline restricted points.
         padding = np.zeros((c.k - c.Q[t].shape[0], n))
         stacked = np.vstack([c.Q[t] @ f_val, padding, ident])
-        rank, _, _ = svd_rank_null(stacked, tol)
-        ranks.append(rank)
+        ranks.append(svd_rank_null(stacked, tol)[0])
     required = n * (n - 1) // 2
     count_ok = c.total == required
     rank_ok = all(r == n for r in ranks)
@@ -380,26 +419,23 @@ def theorem6_check(
 
 def _implicated(walk: _Walk, c: CompiledRestrictions, tol: RankTolerance) -> tuple[ImplicatedCell, ...]:
     """redundancy_explanation at the column where an aborting walk stopped:
-    a row is implied when the stack without it keeps the walk's rank."""
+    row i is implied when t + rank(delete(Q[t] f, i) N) keeps the walk's
+    rank.  A row that is itself zero under the cutoff restricts nothing at
+    this point, so it is not named as implied by the others."""
     if walk.rotation.unique or c.rows is None:
         return ()
     stop = walk.rotation.per_column[-1]
     t = stop.j - 1
     orig = c.permutation[t]
     rows = c.Q[t] @ walk.f
-    prior = np.vstack(walk.accepted) if walk.accepted else np.zeros((0, c.dims.n))
+    cutoff = tol.resolve((stop.qtilde_rows, c.dims.n), max(1.0, float(np.linalg.norm(walk.f, 2))))
+    without = np.stack([np.delete(rows, i, axis=0) for i in range(len(rows))])
+    kept = t + np.count_nonzero(_projected_svd(without, walk.basis)[0] > cutoff, axis=1)
     labels = [c.cell_label(sr, orig) for sr in c.rows[t]]
-    support_cells = [
-        c.cell_label(sr, c.permutation[u])
-        for u in range(t)
-        for sr in c.rows[u]
-    ]
+    support_cells = [c.cell_label(sr, c.permutation[u]) for u in range(t) for sr in c.rows[u]]
     dependent = [
-        i
-        for i in range(rows.shape[0])
-        if svd_rank_null(
-            np.vstack([np.delete(rows, i, axis=0), prior]), tol, sigma_floor=walk.scale
-        )[0] == stop.rank
+        i for i in range(len(rows))
+        if kept[i] == stop.rank and float(np.linalg.norm(rows[i])) > cutoff
     ]
     independent_cells = [labels[i] for i in range(len(labels)) if i not in dependent]
     implied_by = tuple(support_cells + independent_cells)
@@ -425,7 +461,14 @@ def redundancy_explanation(
         return ()
     if not count_condition(c).overall:
         raise CountConditionError("redundancy explanation requires the counting condition")
-    return _implicated(_build_columns(r, c, spec, tol), c, tol)
+    return _implicated(_build_columns([r], c, spec, tol)[0], c, tol)
+
+
+def _picked(r, c, spec, tol, pick_seed) -> tuple[_Walk, StructuralParams]:
+    """The PICK_ARBITRARY walk at r and the baseline point rotated by its P."""
+    walk = _build_columns([r], c, spec, tol, np.random.default_rng(pick_seed))[0]
+    p_mat = walk.rotation.P
+    return walk, StructuralParams(r.dims, walk.a0 @ p_mat, (r.B @ walk.a0) @ p_mat)
 
 
 def restricted_point(
@@ -440,49 +483,47 @@ def restricted_point(
     Rotates the baseline point by a PICK_ARBITRARY construction, so it works
     for redundant schemes too (the rotation is then one of infinitely many).
     """
-    walk = _build_columns(r, c, spec, tol, np.random.default_rng(pick_seed))
-    p_mat = walk.rotation.P
-    return StructuralParams(r.dims, walk.s0.A0 @ p_mat, walk.s0.Aplus @ p_mat)
+    return _picked(r, c, spec, tol, pick_seed)[1]
 
 
-def _check(spec: RestrictionSpec, points, tol: RankTolerance) -> IdentificationReport:
-    """Verdict over the walks at points, an iterable of (seed, r) pairs.
+def _sampled(cfg: SamplerConfig, draws: int) -> tuple:
+    """The seeds of the first draws of cfg's stream, and the draws, lazily."""
+    seeds = [stream_key(cfg.seed, i) for i in range(draws)]
+    return seeds, (draw_reduced_form(cfg, i) for i in range(draws))
+
+
+def _check(
+    spec: RestrictionSpec, c: CompiledRestrictions, seeds, points, tol: RankTolerance
+) -> IdentificationReport:
+    """Verdict over the walks at points (reduced forms, with their seeds),
+    walked together in batches of _BATCH_ENTRIES // n^2.
 
     A counting-condition failure is decided without drawing any point.  A
     redundancy verdict is explained from the first failing point's walk.
     """
-    c = compile_spec(spec)
     cc = count_condition(c)
     n = spec.dims.n
     records: list[DrawRecord] = []
     verdict = Verdict.NOT_IDENTIFIED_COUNT_FAILURE
     implicated: tuple[ImplicatedCell, ...] = ()
     if cc.overall:
-        first_failing: _Walk | None = None
-        for seed, r in points:
-            walk = _build_columns(r, c, spec, tol)
-            if first_failing is None and not walk.rotation.unique:
-                first_failing = walk
-            records.append(DrawRecord(seed, walk.rotation.per_column, walk.rotation.unique))
+        points, walks = iter(points), []
+        while batch := list(islice(points, max(1, _BATCH_ENTRIES // n**2))):
+            walks += _build_columns(batch, c, spec, tol)
+        records = [DrawRecord(k, w.rotation.per_column, w.rotation.unique)
+                   for k, w in zip(seeds, walks)]
         passes = [rec.passed for rec in records]
         if all(passes):
             verdict = Verdict.EXACTLY_IDENTIFIED
         elif not any(passes):
             verdict = Verdict.NOT_IDENTIFIED_REDUNDANCY
-            implicated = _implicated(first_failing, c, tol)
+            implicated = _implicated(walks[0], c, tol)
         else:
             verdict = Verdict.INCONCLUSIVE_DRAW_DISAGREEMENT
     return IdentificationReport(
-        dims_n=n,
-        dims_p=spec.dims.p,
-        q=c.q,
-        permutation=c.permutation,
-        count=cc,
-        total_restrictions=c.total,
-        total_required=n * (n - 1) // 2,
-        draws=tuple(records),
-        verdict=verdict,
-        implicated=implicated,
+        dims_n=n, dims_p=spec.dims.p, q=c.q, permutation=c.permutation, count=cc,
+        total_restrictions=c.total, total_required=n * (n - 1) // 2,
+        draws=tuple(records), verdict=verdict, implicated=implicated,
     )
 
 
@@ -496,7 +537,7 @@ def check_at_point(
     The single evaluation is recorded as a draw with seed None.  Meant for
     callers bringing their own estimated (B, Sigma).
     """
-    return _check(spec, [(None, r)], tol)
+    return _check(spec, compile_spec(spec), [None], [r], tol)
 
 
 def check_exact_identification(
@@ -518,8 +559,4 @@ def check_exact_identification(
     if draws < 2:
         raise ValueError("at least 2 draws are required")
     cfg = config if config is not None else SamplerConfig(dims=spec.dims, seed=seed)
-    points = (
-        (stream_key(cfg.seed, index), draw_reduced_form(cfg, index))
-        for index in range(draws)
-    )
-    return _check(spec, points, tol)
+    return _check(spec, compile_spec(spec), *_sampled(cfg, draws), tol)

@@ -49,11 +49,12 @@ class RankTolerance:
         if self.value is not None and not 0.0 <= self.value < np.inf:
             raise ValueError("tolerance value must be finite and nonnegative")
 
-    def resolve(self, shape: tuple[int, int], sigma_max: float) -> float:
+    def resolve(self, shape: tuple[int, int], sigma_max):
+        """The cutoff against reference sigma_max (an array gives one each)."""
         if self.policy == "absolute":
             return float(self.value)
         factor = self.value if self.value is not None else max(shape) * _EPS
-        return float(factor * sigma_max)
+        return factor * sigma_max
 
 
 DEFAULT_TOL = RankTolerance()
@@ -80,35 +81,27 @@ def cholesky_lower(sigma, sym_tol: float = 1e-12) -> np.ndarray:
         ) from exc
 
 
-def numerical_rank(m, tol: RankTolerance = DEFAULT_TOL, sigma_floor: float = 0.0) -> int:
-    """Number of singular values above the resolved cutoff.  Zero matrix -> 0.
-
-    sigma_floor raises the scale a relative cutoff is measured against.  Pass
-    the norm of the enclosing problem when m is a small sub-block whose rows
-    inherit rounding error from larger matrices; left at 0 it has no effect.
-    """
+def numerical_rank(m, tol: RankTolerance = DEFAULT_TOL) -> int:
+    """Number of singular values above the resolved cutoff.  Zero matrix -> 0."""
     m = as_matrix(m)
     if min(m.shape) == 0:
         return 0
     s = np.linalg.svd(m, compute_uv=False)
-    cutoff = tol.resolve(m.shape, max(float(s[0]), sigma_floor))
-    return int(np.count_nonzero(s > cutoff))
+    return int(np.count_nonzero(s > tol.resolve(m.shape, float(s[0]))))
 
 
-def svd_rank_null(m, tol: RankTolerance = DEFAULT_TOL, sigma_floor: float = 0.0):
+def svd_rank_null(m, tol: RankTolerance = DEFAULT_TOL):
     """One SVD giving (rank, orthonormal null-space rows, singular values).
 
     The null rows span the right null space of m; for a k x n input the
-    returned basis has n - rank rows of length n.  sigma_floor as in
-    numerical_rank.
+    returned basis has n - rank rows of length n.
     """
     m = as_matrix(m)
     k, n = m.shape
     if k == 0:
         return 0, np.eye(n), np.zeros(0)
     _, s, vh = np.linalg.svd(m, full_matrices=True)
-    cutoff = tol.resolve(m.shape, max(float(s[0]), sigma_floor))
-    rank = int(np.count_nonzero(s > cutoff))
+    rank = int(np.count_nonzero(s > tol.resolve(m.shape, float(s[0]))))
     return rank, vh[rank:], s
 
 
@@ -127,16 +120,14 @@ class NullVectorResult:
     null_dim: int
 
 
-def unit_null_vector(
-    m, tol: RankTolerance = DEFAULT_TOL, sigma_floor: float = 0.0
-) -> NullVectorResult:
+def unit_null_vector(m, tol: RankTolerance = DEFAULT_TOL) -> NullVectorResult:
     """Unit-norm right null vector of m with a uniqueness status.
 
     Unique when rank = n - 1 (one-dimensional null space), RankDeficient with
     an arbitrary basis vector when rank < n - 1, NoNullVector at full rank.
     """
     m = as_matrix(m)
-    rank, null_rows, _ = svd_rank_null(m, tol, sigma_floor)
+    rank, null_rows, _ = svd_rank_null(m, tol)
     n = m.shape[1]
     null_dim = n - rank
     if null_dim == 0:

@@ -49,15 +49,19 @@ def jacobi_singular_values(a, max_sweeps: int = 60) -> list[float]:
     return sv
 
 
-def oracle_rank(a) -> int:
-    """Brute-force numerical rank: Jacobi singular values, standard cutoff."""
+def oracle_rank(a, scale: float | None = None) -> int:
+    """Brute-force numerical rank: Jacobi singular values, standard cutoff.
+
+    scale, when given, replaces the largest singular value as the cutoff's
+    reference, as the column walk measures every cutoff against max(1, ||f||).
+    """
     a = np.asarray(a, dtype=float)
     if min(a.shape) == 0:
         return 0
     sv = jacobi_singular_values(a)
     if sv[0] == 0.0:
         return 0
-    cutoff = max(a.shape) * _EPS * sv[0]
+    cutoff = max(a.shape) * _EPS * (sv[0] if scale is None else scale)
     return sum(1 for s in sv if s > cutoff)
 
 

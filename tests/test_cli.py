@@ -205,6 +205,27 @@ def test_invalid_tolerance_is_a_usage_error(capsys):
             assert captured.err.startswith("svar-ident: error: tolerance"), (command, tol)
 
 
+def test_cutoff_above_every_singular_value_names_no_cell(capsys):
+    # under --tol 1e300 every restriction row is zero under the cutoff: the
+    # rows restrict nothing at the point, so no cell is named as implied by
+    # others, and no line ends in the ": " of an empty "implied by" list
+    for command in ("check", "explain"):
+        for fmt in ("text", "json"):
+            assert main([command, "--spec", REC3, "--tol", "1e300", "--format", fmt]) in (0, 2)
+            out = capsys.readouterr().out
+            assert not any(line.endswith(": ") for line in out.splitlines()), (command, fmt)
+            if fmt == "json":
+                assert json.loads(out)["verdict"] == "NotIdentified_Redundancy"
+                assert json.loads(out).get("implicated", []) == []
+            elif command == "explain":
+                assert "redundancy detected but no selection cells to name" in out.splitlines()
+    # the columns accepted earlier always count toward the rank
+    assert main(["rotate", "--spec", REC3, "--tol", "1e300"]) == 0
+    ranks = [line.split("rank ")[1].split()[0] for line in capsys.readouterr().out.splitlines()
+             if line.startswith("  column ")]
+    assert ranks == ["0/2", "1/2", "2/2"]
+
+
 def test_check_does_not_import_scipy():
     # scipy costs a cold start more than the rest of the package together
     script = (

@@ -111,14 +111,6 @@ def test_rank_invariant_under_permutation_and_rotation():
         assert numerical_rank(a @ random_orthogonal(n, 200 + i)) == base
 
 
-def test_rank_sigma_floor_widens_cutoff():
-    # on its own the 1e-13 value clears the relative cutoff; measured against
-    # a much larger enclosing problem it is noise
-    a = np.diag([1.0, 1e-13])
-    assert numerical_rank(a) == 2
-    assert numerical_rank(a, sigma_floor=1e4) == 1
-
-
 def test_absolute_tolerance_policy():
     a = np.diag([1.0, 1e-6])
     assert numerical_rank(a, RankTolerance(policy="absolute", value=1e-8)) == 2

@@ -1,0 +1,126 @@
+"""The projected, batched column walk against explicit stacks and single draws."""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from svarident.errors import InfeasibleRestrictionsError
+from svarident.fixtures import recursive_spec_text
+from svarident.identify import (
+    OnRedundancy,
+    _build_columns,
+    _pick,
+    check_exact_identification,
+    construct_rotation,
+    nonredundancy_at,
+    q_tilde,
+)
+from svarident.linalg import DEFAULT_TOL, RankTolerance, random_orthogonal
+from svarident.model import baseline_structural
+from svarident.restrictions import assemble_f, compile_spec, parse_spec
+from svarident.sampler import SamplerConfig, draw_reduced_form
+
+from helpers import corpus, oracle_rank, spec_text_from_cells
+
+
+@st.composite
+def counted_schemes(draw):
+    """A document over A0/LAG/IR blocks, n <= 6, whose columns carry
+    n - 1, n - 2, ..., 0 zeros in a random order, so the count condition
+    holds whatever the cells are."""
+    n = draw(st.integers(2, 6))
+    p = draw(st.integers(1, 2))
+    pool = ["A0"] + [f"LAG{lag}" for lag in range(1, p + 1)] + [f"IR{h}" for h in range(4)]
+    labels = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3, unique=True))
+    order = draw(st.permutations(range(1, n + 1)))
+    cells = {label: set() for label in labels}
+    slots = [(label, row) for label in labels for row in range(1, n + 1)]
+    for t, col in enumerate(order):
+        chosen = draw(st.lists(st.sampled_from(slots), min_size=n - 1 - t,
+                               max_size=n - 1 - t, unique=True))
+        for label, row in chosen:
+            cells[label].add((row, col))
+    return spec_text_from_cells(n, p, cells), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(counted_schemes())
+def test_projected_rank_equals_explicit_stack_rank(case):
+    # rank(Q[t] f N) + t must be the rank of [Q[t] f; P'], P' the accepted
+    # columns, as the independent Jacobi oracle counts it under the walk's
+    # cutoff (its own sigma_max would call roundoff at the scale of f a rank)
+    text, seed = case
+    spec = parse_spec(text)
+    c = compile_spec(spec)
+    r = draw_reduced_form(SamplerConfig(dims=spec.dims, seed=seed), 0)
+    rot = construct_rotation(r, c, spec, OnRedundancy.PICK_ARBITRARY)
+    f = assemble_f(baseline_structural(r), spec)
+    scale = max(1.0, float(np.linalg.norm(f, 2)))
+    for t, d in enumerate(rot.per_column):
+        prior = [rot.P[:, c.permutation[u]] for u in range(t)]
+        assert d.rank == oracle_rank(q_tilde(t + 1, c, f, prior), scale), (text, t)
+
+
+def _batched_equals_single(spec, cfg, draws, tol=DEFAULT_TOL):
+    c = compile_spec(spec)
+    report = check_exact_identification(spec, config=cfg, draws=draws, tol=tol)
+    for i, rec in enumerate(report.draws):
+        single = nonredundancy_at(draw_reduced_form(cfg, i), c, spec, tol)
+        # dataclass equality: every field, the singular values bit for bit
+        assert rec.per_column == single.per_column, i
+        assert rec.passed == single.unique, i
+    return report
+
+
+def test_batched_walk_matches_single_draw_walks():
+    for entry in corpus():
+        spec = parse_spec(entry.text)
+        _batched_equals_single(spec, SamplerConfig(dims=spec.dims, seed=29), 6)
+    # n = 20 walks its draws in one batch; n = 30 in batches of 8
+    for n, draws in ((20, 5), (30, 10)):
+        spec = parse_spec(recursive_spec_text(n, 2))
+        _batched_equals_single(spec, SamplerConfig(dims=spec.dims, seed=3, diag_floor=1.0), draws)
+
+
+def test_batched_walk_matches_single_draws_when_some_stop():
+    # an absolute cutoff between the draws' smallest singular values stops
+    # some draws early, so the batch shrinks while the others walk on
+    spec = parse_spec(recursive_spec_text(3))
+    c = compile_spec(spec)
+    cfg = SamplerConfig(dims=spec.dims, seed=5)
+    smallest = []
+    for i in range(5):
+        per_column = nonredundancy_at(draw_reduced_form(cfg, i), c, spec).per_column
+        smallest.append(min(d.singular_values[-1] for d in per_column if d.singular_values))
+    tol = RankTolerance(policy="absolute", value=float(np.sqrt(min(smallest) * max(smallest))))
+    report = _batched_equals_single(spec, cfg, 5, tol)
+    assert {len(rec.per_column) for rec in report.draws} == {1, 3}
+
+
+def test_infeasible_batch_raises_for_the_first_infeasible_point():
+    spec = parse_spec(spec_text_from_cells(2, 1, {"A0": {(1, 1), (2, 1)}}))
+    c = compile_spec(spec)
+    cfg = SamplerConfig(dims=spec.dims, seed=0)
+    points = [draw_reduced_form(cfg, i) for i in range(3)]
+    with pytest.raises(InfeasibleRestrictionsError) as batched:
+        _build_columns(points, c, spec, DEFAULT_TOL)
+    with pytest.raises(InfeasibleRestrictionsError) as single:
+        _build_columns(points[:1], c, spec, DEFAULT_TOL)
+    assert str(batched.value) == str(single.value)
+    assert batched.value.diagnostics == single.value.diagnostics
+
+
+def test_pick_depends_on_the_null_space_only():
+    rng = np.random.default_rng(8)
+    for n, d in ((3, 2), (6, 3), (10, 5)):
+        basis = np.linalg.qr(rng.standard_normal((n, d)))[0].T  # d orthonormal rows
+        mixed = random_orthogonal(d, n + d) @ basis
+        for seed in range(5):
+            a = _pick(np.random.default_rng(seed), basis)
+            b = _pick(np.random.default_rng(seed), mixed)
+            assert float(np.abs(a - b).max()) <= 1e-10
+            assert abs(float(np.linalg.norm(a)) - 1.0) <= 1e-12
+            assert float(np.abs(basis.T @ (basis @ a) - a).max()) <= 1e-12
