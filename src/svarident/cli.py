@@ -25,7 +25,9 @@ from .errors import (
 from .identify import (
     Verdict,
     _check,
+    _explicit,
     _picked,
+    _rotated,
     _sampled,
     check_exact_identification,
     count_condition,
@@ -116,28 +118,30 @@ def _explicit_point(args, dims: ModelDims) -> ReducedFormParams:
     return ReducedFormParams(dims, b, sigma)
 
 
-def _run_check(args, tol) -> tuple:
-    """(spec, its compilation, the cross-check's point, the verdict there)."""
+def _run_check(args, tol, pick_rng=None) -> tuple:
+    """(spec, its compilation, the report, the walk at the first point)."""
     spec = _load_spec(args)
     c = compile_spec(spec)
     if args.sigma is not None or args.b is not None:
-        r0 = _explicit_point(args, spec.dims)
-        return spec, c, r0, _check(spec, c, [None], [r0], tol)
-    if args.draws < 2:
+        points = _explicit(_explicit_point(args, spec.dims), spec)
+    elif args.draws < 2:
         raise ValueError("--draws must be at least 2")
-    cfg = SamplerConfig(dims=spec.dims, seed=args.seed)
-    return spec, c, draw_reduced_form(cfg, 0), _check(spec, c, *_sampled(cfg, args.draws), tol)
+    else:
+        points = _sampled(SamplerConfig(dims=spec.dims, seed=args.seed), args.draws, spec)
+    return spec, c, *_check(spec, c, tol, *points, pick_rng)
 
 
 def _cmd_check(args) -> int:
     try:
         tol = _tolerance(args)
-        spec, c, r0, report = _run_check(args, tol)
+        # the first point's walk picks past rank-deficient columns, so it
+        # gives the restricted point of the rank cross-check
+        spec, c, report, first = _run_check(args, tol, np.random.default_rng(0))
         theorem6 = None
-        if report.count.overall:
+        if first is not None:
             try:
-                theorem6 = theorem6_check(_picked(r0, c, spec, tol, 0)[1], c, spec, tol)
-            except (InfeasibleRestrictionsError, UnrestrictedPointError):
+                theorem6 = theorem6_check(_rotated(first, spec.dims), c, spec, tol)
+            except UnrestrictedPointError:
                 pass
     except (OSError, ValueError, SvarIdentError) as exc:
         return _fail(str(exc))
@@ -152,7 +156,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_explain(args) -> int:
     try:
-        report = _run_check(args, _tolerance(args))[3]
+        report = _run_check(args, _tolerance(args))[2]
     except (OSError, ValueError, SvarIdentError) as exc:
         return _fail(str(exc))
     verdict = report.verdict

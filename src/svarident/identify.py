@@ -15,27 +15,37 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import islice
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import CountConditionError, InfeasibleRestrictionsError, UnrestrictedPointError
+from .errors import (
+    CountConditionError,
+    InfeasibleRestrictionsError,
+    NotPositiveDefiniteError,
+    NotSymmetricError,
+    SingularA0Error,
+    UnrestrictedPointError,
+)
 from .linalg import DEFAULT_TOL, RankTolerance, svd_rank_null
-from .model import ReducedFormParams, StructuralParams, baseline_structural
+from .model import ModelDims, ReducedFormParams, StructuralParams, _baseline_stack
 from .restrictions import (
+    BlockId,
     CompiledRestrictions,
     RestrictionSpec,
+    _assemble_stack,
     assemble_f,
     compile_spec,
     worst_violation,
 )
-from .sampler import SamplerConfig, draw_reduced_form, stream_key
+from .sampler import SamplerConfig, _draw_stack, stream_key
 
 _SIGN_EPS = 1e-12
 # A check walks its draws in batches of _BATCH_ENTRIES // n^2, so that each
 # stacked n x n array of the walk stays near 8000 entries (64 kB).
 _BATCH_ENTRIES = 8000
+# What the stacked front end (baseline point and f) can raise at a point.
+_FRONT_ERRORS = (NotSymmetricError, NotPositiveDefiniteError, SingularA0Error)
 
 
 class ColumnStatus(Enum):
@@ -186,25 +196,47 @@ def sign_normalize(p, j: int, a0) -> tuple[np.ndarray, int]:
     v = np.asarray(a0, dtype=float) @ p
     pivot = float(v[j - 1])
     thresh = _SIGN_EPS * max(1.0, float(np.abs(v).max()))
-    if abs(pivot) > thresh:
-        flip = 1 if pivot > 0 else -1
-    else:
-        flip = 1
-        for entry in p:
-            if abs(entry) > _SIGN_EPS:
-                flip = 1 if entry > 0 else -1
-                break
+    flip = (1 if pivot > 0 else -1) if abs(pivot) > thresh else _fallback_sign(p)
     return p * flip, flip
 
 
+def _fallback_sign(p) -> int:
+    """The flip that makes the first entry of p exceeding _SIGN_EPS positive."""
+    for entry in p:
+        if abs(entry) > _SIGN_EPS:
+            return 1 if entry > 0 else -1
+    return 1
+
+
+def _pinned_pivots(c: CompiledRestrictions) -> np.ndarray:
+    """Per original column j, whether the document restricts A0[j, j].  The
+    pivot (A0 P)_jj is then zero up to rounding, and that rounding must not
+    choose the sign of column j."""
+    n = c.dims.n
+    pinned = np.zeros(n, dtype=bool)
+    if c.rows is not None and BlockId("A0") in c.block_ids:
+        first_row = c.block_ids.index(BlockId("A0")) * n
+        for t, orig in enumerate(c.permutation):
+            pinned[orig] = first_row + orig in c.rows[t]
+    return pinned
+
+
 class _Walk(NamedTuple):
-    """One point's walk: baseline A0, f, rotation and, if it stopped, the
-    orthonormal basis N of the complement of its columns."""
+    """One point's walk: baseline A0 and Aplus, f, rotation and, if a column
+    was rank-deficient, the orthonormal basis N of the complement of the
+    columns accepted before the first such column."""
 
     a0: np.ndarray
+    aplus: np.ndarray
     f: np.ndarray
     rotation: RotationResult
     basis: np.ndarray | None
+
+    def aborting(self) -> tuple[ColumnDiagnostic, ...]:
+        """The columns an aborting walk records: up to the first non-Unique one."""
+        cols = self.rotation.per_column
+        return next((cols[:t + 1] for t, d in enumerate(cols) if d.status is not ColumnStatus.UNIQUE),
+                    cols)
 
 
 def _projected_svd(qf: np.ndarray, basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -232,28 +264,21 @@ def _pick(rng: np.random.Generator, null_rows: np.ndarray) -> np.ndarray:
     return vec / float(np.linalg.norm(vec))
 
 
-def _build_columns(points, c: CompiledRestrictions, spec: RestrictionSpec, tol: RankTolerance,
-                   pick_rng: np.random.Generator | None = None) -> list[_Walk]:
+def _build_columns(a0: np.ndarray, aplus: np.ndarray, f: np.ndarray, c: CompiledRestrictions,
+                   tol: RankTolerance, pick_rng: np.random.Generator | None = None) -> list[_Walk]:
     """The sequential column walk, the one every verdict, rotation,
-    restricted point and explanation reads, at all points together.
+    restricted point and explanation reads, at stacked points (baseline A0,
+    Aplus and f, one row of each per point) together.
 
     At step t, with N an orthonormal basis of the complement of the columns
     accepted so far, one SVD of the blocks Q[t] f N gives the rank t + #(s >
     cutoff) of each stack [Q[t] f; accepted'] (s from _projected_svd, cutoff
     against max(1, ||f||_2)), its null vector N v_last and the next basis
-    N V[:rank]'.  With pick_rng None a point stops at its first
-    rank-deficient column (P is None); otherwise that column gets a random
-    unit vector from its null space.  Full rank raises at once.
+    N V[:rank]'.  A point stops at its first rank-deficient column (P is
+    None), except that with pick_rng point 0 walks on: each of its
+    rank-deficient columns gets a random unit vector from its null space.
+    Full rank raises at once.
     """
-    f, a0 = [], []
-    for r in points:  # one pass, keeping only f and A0 of each point
-        if r.dims != spec.dims:
-            raise ValueError(f"reduced-form point has n = {r.dims.n}, p = {r.dims.p} but the "
-                             f"restrictions are for n = {spec.dims.n}, p = {spec.dims.p}")
-        s0 = baseline_structural(r)
-        f.append(assemble_f(s0, spec, tol))
-        a0.append(s0.A0)
-    f, a0 = np.stack(f), np.stack(a0)
     scale = np.maximum(1.0, np.linalg.norm(f, 2, axis=(1, 2)))
     n, m = c.dims.n, len(f)
     idx = np.arange(m)  # the points still walking, with their f, scale and N
@@ -285,12 +310,13 @@ def _build_columns(points, c: CompiledRestrictions, spec: RestrictionSpec, tol: 
                 )
                 err.diagnostics = tuple(diags[i])
                 raise err
-            if status is ColumnStatus.REDUNDANT and pick_rng is None:
+            if status is ColumnStatus.REDUNDANT and ends[i] is None:
                 ends[i] = basis[a]
-            elif status is ColumnStatus.REDUNDANT:
+            if status is ColumnStatus.REDUNDANT and i == 0 and pick_rng is not None:
                 local[a] = basis[a].T @ _pick(pick_rng, vh[a, rank - t:] @ basis[a].T)
                 nxt[a] = np.linalg.svd(local[a][None, :])[2][1:]
-        keep = (ranks == n - 1) | (pick_rng is not None)  # an aborting point stops
+        keep = ranks == n - 1  # a rank-deficient point stops, unless it picks
+        keep[0] |= pick_rng is not None
         if not keep.all():
             idx, basis, local, nxt = idx[keep], basis[keep], local[keep], nxt[keep]
             f_act, scale_act = f_act[keep], scale_act[keep]
@@ -298,25 +324,45 @@ def _build_columns(points, c: CompiledRestrictions, spec: RestrictionSpec, tol: 
         basis = basis @ np.swapaxes(nxt, 1, 2)
 
     # Orient each column by its largest entry (sign_flips must not depend on
-    # an SVD's signs), then sign_normalize all at once; a near-zero pivot of
-    # an accepted column falls back to it.
+    # an SVD's signs), then sign_normalize all at once.  An accepted column
+    # whose pivot is near zero, or restricted to zero, takes its fallback.
     p_mat *= np.sign(np.take_along_axis(p_mat, np.abs(p_mat).argmax(axis=1)[:, None], 1))
     image = a0 @ p_mat
     pivot = np.diagonal(image, axis1=1, axis2=2)
     flips = np.where(pivot > 0, 1, -1)
     weak = np.abs(pivot) <= _SIGN_EPS * np.maximum(1.0, np.abs(image).max(axis=1))
-    weak &= p_mat.any(axis=1)
+    weak = (weak | _pinned_pivots(c)) & p_mat.any(axis=1)
     for i, j in zip(*np.nonzero(weak)):
-        flips[i, j] = sign_normalize(p_mat[i, :, j], j + 1, a0[i])[1]
+        flips[i, j] = _fallback_sign(p_mat[i, :, j])
     p_mat = p_mat * flips[:, None, :] + 0.0  # + 0.0 turns -0.0 into 0.0
     walks = []
     for i in range(m):
-        accepted = c.permutation[:n if ends[i] is None else len(diags[i]) - 1]
-        unique = all(d.status is ColumnStatus.UNIQUE for d in diags[i])
-        rotation = RotationResult(p_mat[i] if ends[i] is None else None, tuple(diags[i]),
-                                  tuple(flips[i, list(accepted)].tolist()), unique)
-        walks.append(_Walk(a0[i], f[i], rotation, ends[i]))
+        stopped = ends[i] is not None and (i > 0 or pick_rng is None)
+        accepted = c.permutation[:len(diags[i]) - 1 if stopped else n]
+        rotation = RotationResult(None if stopped else p_mat[i], tuple(diags[i]),
+                                  tuple(flips[i, list(accepted)].tolist()), ends[i] is None)
+        walks.append(_Walk(a0[i], aplus[i], f[i], rotation, ends[i]))
     return walks
+
+
+def _require_dims(dims: ModelDims, spec: RestrictionSpec) -> None:
+    if dims != spec.dims:
+        raise ValueError(f"reduced-form point has n = {dims.n}, p = {dims.p} but the "
+                         f"restrictions are for n = {spec.dims.n}, p = {spec.dims.p}")
+
+
+def _front(b: np.ndarray, sigma: np.ndarray, spec: RestrictionSpec,
+           tol: RankTolerance) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Baseline A0 and Aplus, and f, of stacked reduced forms (B, Sigma)."""
+    a0, aplus = _baseline_stack(b, sigma)
+    return a0, aplus, _assemble_stack(a0, aplus, [blk for blk, _ in spec.blocks], spec.dims.p, tol)
+
+
+def _walk_at(r: ReducedFormParams, c: CompiledRestrictions, spec: RestrictionSpec,
+             tol: RankTolerance, pick_rng: np.random.Generator | None = None) -> _Walk:
+    """The walk at one reduced-form point."""
+    _require_dims(r.dims, spec)
+    return _build_columns(*_front(r.B[None], r.Sigma[None], spec, tol), c, tol, pick_rng)[0]
 
 
 def nonredundancy_at(
@@ -338,7 +384,7 @@ def nonredundancy_at(
             f"counting condition fails at permuted column(s) {bad}; "
             f"q = {tuple(c.q)}"
         )
-    return _build_columns([r], c, spec, tol)[0].rotation
+    return _walk_at(r, c, spec, tol).rotation
 
 
 def construct_rotation(
@@ -357,11 +403,12 @@ def construct_rotation(
     projected onto it), and the result is flagged non-unique; distinct pick
     seeds generally give distinct but observationally equivalent rotations.
     A Unique column is the null vector of its stack, sign-normalized so that
-    entry j of A0 p is positive.  Raises InfeasibleRestrictionsError when a
+    entry j of A0 p is positive (its first sizable entry, when the document
+    restricts A0[j, j]).  Raises InfeasibleRestrictionsError when a
     column's stack reaches full rank.
     """
     rng = np.random.default_rng(pick_seed) if on_redundancy is OnRedundancy.PICK_ARBITRARY else None
-    return _build_columns([r], c, spec, tol, rng)[0].rotation
+    return _walk_at(r, c, spec, tol, rng).rotation
 
 
 def theorem6_check(
@@ -424,7 +471,7 @@ def _implicated(walk: _Walk, c: CompiledRestrictions, tol: RankTolerance) -> tup
     this point, so it is not named as implied by the others."""
     if walk.rotation.unique or c.rows is None:
         return ()
-    stop = walk.rotation.per_column[-1]
+    stop = walk.aborting()[-1]
     t = stop.j - 1
     orig = c.permutation[t]
     rows = c.Q[t] @ walk.f
@@ -461,14 +508,19 @@ def redundancy_explanation(
         return ()
     if not count_condition(c).overall:
         raise CountConditionError("redundancy explanation requires the counting condition")
-    return _implicated(_build_columns([r], c, spec, tol)[0], c, tol)
+    return _implicated(_walk_at(r, c, spec, tol), c, tol)
+
+
+def _rotated(walk: _Walk, dims: ModelDims) -> StructuralParams:
+    """The baseline point of a walk that built P, rotated by it: (A0 P, Aplus P)."""
+    p_mat = walk.rotation.P
+    return StructuralParams(dims, walk.a0 @ p_mat, walk.aplus @ p_mat)
 
 
 def _picked(r, c, spec, tol, pick_seed) -> tuple[_Walk, StructuralParams]:
     """The PICK_ARBITRARY walk at r and the baseline point rotated by its P."""
-    walk = _build_columns([r], c, spec, tol, np.random.default_rng(pick_seed))[0]
-    p_mat = walk.rotation.P
-    return walk, StructuralParams(r.dims, walk.a0 @ p_mat, (r.B @ walk.a0) @ p_mat)
+    walk = _walk_at(r, c, spec, tol, np.random.default_rng(pick_seed))
+    return walk, _rotated(walk, r.dims)
 
 
 def restricted_point(
@@ -486,45 +538,77 @@ def restricted_point(
     return _picked(r, c, spec, tol, pick_seed)[1]
 
 
-def _sampled(cfg: SamplerConfig, draws: int) -> tuple:
-    """The seeds of the first draws of cfg's stream, and the draws, lazily."""
+def _sampled(cfg: SamplerConfig, draws: int, spec: RestrictionSpec) -> tuple:
+    """The seeds of the first draws of cfg's stream, and the draws as stacked
+    (B, Sigma) batches of _BATCH_ENTRIES // n^2, drawn lazily."""
+    _require_dims(cfg.dims, spec)
     seeds = [stream_key(cfg.seed, i) for i in range(draws)]
-    return seeds, (draw_reduced_form(cfg, i) for i in range(draws))
+    size = max(1, _BATCH_ENTRIES // spec.dims.n ** 2)
+    return seeds, (_draw_stack(cfg, seeds[lo:lo + size]) for lo in range(0, draws, size))
 
 
-def _check(
-    spec: RestrictionSpec, c: CompiledRestrictions, seeds, points, tol: RankTolerance
-) -> IdentificationReport:
-    """Verdict over the walks at points (reduced forms, with their seeds),
-    walked together in batches of _BATCH_ENTRIES // n^2.
+def _explicit(r: ReducedFormParams, spec: RestrictionSpec) -> tuple:
+    """One explicitly supplied point as _sampled gives draws: seed None."""
+    _require_dims(r.dims, spec)
+    return [None], [(r.B[None], r.Sigma[None])]
 
-    A counting-condition failure is decided without drawing any point.  A
+
+def _failing_draw(exc: Exception, b, sigma, spec, tol, seeds, done: int) -> Exception:
+    """The error of the lowest-index point of a batch whose front end fails,
+    naming that draw and its seed; exc itself for an explicit point."""
+    if seeds[done] is None:
+        return exc
+    for i in range(len(b)):
+        try:
+            _front(b[i:i + 1], sigma[i:i + 1], spec, tol)
+        except _FRONT_ERRORS as one:
+            return type(one)(f"draw {done + i} (seed {seeds[done + i]}): {one}")
+    return exc
+
+
+def _check(spec: RestrictionSpec, c: CompiledRestrictions, tol: RankTolerance, seeds, batches,
+           pick_rng: np.random.Generator | None = None) -> tuple[IdentificationReport, _Walk | None]:
+    """Verdict over the walks at the points of `batches` (see _sampled), and
+    the walk at the first point (None when no point is walked).
+
+    Each batch is factored, assembled and walked as stacked arrays.  With
+    pick_rng the first point walks on past rank-deficient columns (see
+    _build_columns); its record is still the aborting walk's.  A
+    counting-condition failure is decided without drawing any point.  A
     redundancy verdict is explained from the first failing point's walk.
     """
     cc = count_condition(c)
     n = spec.dims.n
     records: list[DrawRecord] = []
+    first = None
     verdict = Verdict.NOT_IDENTIFIED_COUNT_FAILURE
     implicated: tuple[ImplicatedCell, ...] = ()
     if cc.overall:
-        points, walks = iter(points), []
-        while batch := list(islice(points, max(1, _BATCH_ENTRIES // n**2))):
-            walks += _build_columns(batch, c, spec, tol)
-        records = [DrawRecord(k, w.rotation.per_column, w.rotation.unique)
-                   for k, w in zip(seeds, walks)]
+        for b, sigma in batches:
+            done = len(records)
+            try:
+                front = _front(b, sigma, spec, tol)
+            except _FRONT_ERRORS as exc:
+                raise _failing_draw(exc, b, sigma, spec, tol, seeds, done) from exc
+            walks = _build_columns(*front, c, tol, None if done else pick_rng)
+            if first is None:
+                first = walks[0]
+            records += [DrawRecord(seeds[done + i], w.aborting(), w.rotation.unique)
+                        for i, w in enumerate(walks)]
         passes = [rec.passed for rec in records]
         if all(passes):
             verdict = Verdict.EXACTLY_IDENTIFIED
         elif not any(passes):
             verdict = Verdict.NOT_IDENTIFIED_REDUNDANCY
-            implicated = _implicated(walks[0], c, tol)
+            implicated = _implicated(first, c, tol)
         else:
             verdict = Verdict.INCONCLUSIVE_DRAW_DISAGREEMENT
-    return IdentificationReport(
+    report = IdentificationReport(
         dims_n=n, dims_p=spec.dims.p, q=c.q, permutation=c.permutation, count=cc,
         total_restrictions=c.total, total_required=n * (n - 1) // 2,
         draws=tuple(records), verdict=verdict, implicated=implicated,
     )
+    return report, first
 
 
 def check_at_point(
@@ -537,7 +621,7 @@ def check_at_point(
     The single evaluation is recorded as a draw with seed None.  Meant for
     callers bringing their own estimated (B, Sigma).
     """
-    return _check(spec, compile_spec(spec), [None], [r], tol)
+    return _check(spec, compile_spec(spec), tol, *_explicit(r, spec))[0]
 
 
 def check_exact_identification(
@@ -559,4 +643,4 @@ def check_exact_identification(
     if draws < 2:
         raise ValueError("at least 2 draws are required")
     cfg = config if config is not None else SamplerConfig(dims=spec.dims, seed=seed)
-    return _check(spec, compile_spec(spec), *_sampled(cfg, draws), tol)
+    return _check(spec, compile_spec(spec), tol, *_sampled(cfg, draws, spec))[0]

@@ -17,12 +17,13 @@ from .errors import NotPositiveDefiniteError, NotSymmetricError
 _EPS = float(np.finfo(np.float64).eps)
 
 
-def as_matrix(a, name: str = "matrix") -> np.ndarray:
-    """Validate and return a 2-D float array with finite entries."""
+def as_matrix(a, name: str = "matrix", stack: bool = False) -> np.ndarray:
+    """Validate and return a 2-D float array with finite entries (with
+    stack, an array of such matrices, shape (..., rows, cols))."""
     m = np.asarray(a, dtype=float)
-    if m.ndim != 2:
+    if m.ndim != 2 and not (stack and m.ndim > 2):
         raise ValueError(f"{name} must be 2-D, got shape {m.shape}")
-    if m.size and not np.all(np.isfinite(m)):
+    if m.size and not np.isfinite(m).all():
         raise ValueError(f"{name} has non-finite entries")
     return m
 
@@ -61,18 +62,24 @@ DEFAULT_TOL = RankTolerance()
 
 
 def cholesky_lower(sigma, sym_tol: float = 1e-12) -> np.ndarray:
-    """Lower-triangular Cholesky factor L of an SPD matrix, sigma = L L'."""
-    s = as_matrix(sigma, "sigma")
-    k, n = s.shape
-    if k != n:
+    """Lower-triangular Cholesky factor L of an SPD matrix, sigma = L L'.
+
+    A stack of matrices (..., n, n) gets one factor each; an error is
+    raised if any of them is not symmetric or not positive definite.
+    """
+    s = as_matrix(sigma, "sigma", stack=True)
+    if s.shape[-2] != s.shape[-1]:
         raise ValueError(f"sigma must be square, got shape {s.shape}")
-    scale = float(np.abs(s).max()) if s.size else 0.0
-    asym = float(np.abs(s - s.T).max()) if s.size else 0.0
-    if asym > sym_tol * scale:
-        raise NotSymmetricError(
-            f"matrix is not symmetric: max asymmetry {asym:.3e} "
-            f"exceeds {sym_tol:.1e} * {scale:.3e}"
-        )
+    if s.size:
+        scale = np.abs(s).max(axis=(-2, -1))
+        asym = np.abs(s - s.swapaxes(-1, -2)).max(axis=(-2, -1))
+        bad = asym > sym_tol * scale
+        if bad.any():
+            i = np.argmax(bad)
+            raise NotSymmetricError(
+                f"matrix is not symmetric: max asymmetry {asym.flat[i]:.3e} "
+                f"exceeds {sym_tol:.1e} * {scale.flat[i]:.3e}"
+            )
     try:
         return np.linalg.cholesky(s)
     except np.linalg.LinAlgError as exc:
@@ -81,13 +88,17 @@ def cholesky_lower(sigma, sym_tol: float = 1e-12) -> np.ndarray:
         ) from exc
 
 
-def numerical_rank(m, tol: RankTolerance = DEFAULT_TOL) -> int:
-    """Number of singular values above the resolved cutoff.  Zero matrix -> 0."""
-    m = as_matrix(m)
-    if min(m.shape) == 0:
-        return 0
+def numerical_rank(m, tol: RankTolerance = DEFAULT_TOL):
+    """Number of singular values above the resolved cutoff.  Zero matrix -> 0.
+
+    A stack of matrices (..., rows, cols) gives an array of ranks, one each.
+    """
+    m = as_matrix(m, stack=True)
+    if min(m.shape[-2:]) == 0:
+        return 0 if m.ndim == 2 else np.zeros(m.shape[:-2], dtype=int)
     s = np.linalg.svd(m, compute_uv=False)
-    return int(np.count_nonzero(s > tol.resolve(m.shape, float(s[0]))))
+    ranks = (s > tol.resolve(m.shape[-2:], s[..., :1])).sum(axis=-1)
+    return int(ranks) if m.ndim == 2 else ranks
 
 
 def svd_rank_null(m, tol: RankTolerance = DEFAULT_TOL):

@@ -90,8 +90,8 @@ class ReducedFormParams:
 
 
 def _require_invertible(a0: np.ndarray, tol: RankTolerance) -> None:
-    n = a0.shape[0]
-    if numerical_rank(a0, tol) < n:
+    """Raise unless A0 (or every A0 of a stack) has full numerical rank."""
+    if (np.asarray(numerical_rank(a0, tol)) < a0.shape[-1]).any():
         raise SingularA0Error("A0 is numerically singular")
 
 
@@ -108,6 +108,14 @@ def to_reduced_form(s: StructuralParams, tol: RankTolerance = DEFAULT_TOL) -> Re
     return ReducedFormParams(s.dims, b, sigma)
 
 
+def _baseline_stack(b: np.ndarray, sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """baseline_structural for stacked reduced forms: (A0, Aplus) of shapes
+    (M, n, n) and (M, m, n) from B (M, m, n) and Sigma (M, n, n)."""
+    low = cholesky_lower(sigma)
+    a0 = np.linalg.inv(low.swapaxes(-1, -2))
+    return a0, b @ a0
+
+
 def baseline_structural(r: ReducedFormParams) -> StructuralParams:
     """Rotation-free structural point for a reduced-form parameter.
 
@@ -120,19 +128,8 @@ def baseline_structural(r: ReducedFormParams) -> StructuralParams:
     Inverting L itself instead would swap rows to pivot on its column
     maxima and lose accuracy when L is ill-conditioned.
     """
-    low = cholesky_lower(r.Sigma)
-    a0 = np.linalg.inv(low.T)
-    return StructuralParams(r.dims, a0, r.B @ a0)
-
-
-def contemporaneous_ir(a0, tol: RankTolerance = DEFAULT_TOL) -> np.ndarray:
-    """Impact responses (A0^{-1})': entry (i, j) is the response of variable i
-    to structural shock j on impact."""
-    a0 = as_matrix(a0, "A0")
-    if a0.shape[0] != a0.shape[1]:
-        raise ValueError("A0 must be square")
-    _require_invertible(a0, tol)
-    return np.linalg.inv(a0).T
+    a0, aplus = _baseline_stack(r.B[None], r.Sigma[None])
+    return StructuralParams(r.dims, a0[0], aplus[0])
 
 
 def _companion(b: np.ndarray, n: int, p: int) -> np.ndarray:
@@ -145,6 +142,42 @@ def _companion(b: np.ndarray, n: int, p: int) -> np.ndarray:
     return f
 
 
+def _impulse_responses(a0: np.ndarray, aplus, horizons, p: int, tol: RankTolerance) -> list[np.ndarray]:
+    """Structural impulse responses of stacked points (A0 (M, n, n), Aplus
+    (M, m, n)) at each horizon, one (M, n, n) array per horizon.
+
+    Each point's A0 is rank-checked and inverted once, and B is solved for
+    and its companion matrix built once, for all horizons; the companion
+    powers are taken point by point, so no stacked (M, np, np) array is
+    held.  Horizon 0 is (A0^{-1})'; later horizons premultiply by the
+    reduced-form moving-average coefficient.  With p = 0 every h >= 1 is 0.
+    """
+    if not horizons:
+        return []
+    _require_invertible(a0, tol)
+    ir0 = np.linalg.inv(a0).swapaxes(-1, -2)
+    n = a0.shape[-1]
+    later = [h for h in horizons if h > 0]
+    if later and p > 0:
+        b = np.linalg.solve(a0.swapaxes(-1, -2), aplus.swapaxes(-1, -2)).swapaxes(-1, -2)
+        psi = np.empty((len(later), len(a0), n, n))
+        for i, b_i in enumerate(b):
+            comp = _companion(b_i, n, p)
+            for j, h in enumerate(later):
+                psi[j, i] = np.linalg.matrix_power(comp, h)[:n, :n]
+    return [ir0 if h == 0 else (psi[later.index(h)] @ ir0 if p else np.zeros_like(ir0))
+            for h in horizons]
+
+
+def contemporaneous_ir(a0, tol: RankTolerance = DEFAULT_TOL) -> np.ndarray:
+    """Impact responses (A0^{-1})': entry (i, j) is the response of variable i
+    to structural shock j on impact."""
+    a0 = as_matrix(a0, "A0")
+    if a0.shape[0] != a0.shape[1]:
+        raise ValueError("A0 must be square")
+    return _impulse_responses(a0[None], None, [0], 0, tol)[0][0]
+
+
 def ir_horizon(s: StructuralParams, h: int, tol: RankTolerance = DEFAULT_TOL) -> np.ndarray:
     """Structural impulse responses at horizon h.
 
@@ -154,13 +187,4 @@ def ir_horizon(s: StructuralParams, h: int, tol: RankTolerance = DEFAULT_TOL) ->
     """
     if h < 0:
         raise ValueError("horizon must be nonnegative")
-    ir0 = contemporaneous_ir(s.A0, tol)
-    if h == 0:
-        return ir0
-    n, p = s.dims.n, s.dims.p
-    if p == 0:
-        return np.zeros((n, n))
-    b = np.linalg.solve(s.A0.T, s.Aplus.T).T
-    comp = _companion(b, n, p)
-    psi = np.linalg.matrix_power(comp, h)[:n, :n]
-    return psi @ ir0
+    return _impulse_responses(s.A0[None], s.Aplus[None], [h], s.dims.p, tol)[0][0]

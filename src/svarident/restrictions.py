@@ -22,7 +22,7 @@ from .errors import (
     UnknownBlockError,
 )
 from .linalg import DEFAULT_TOL, RankTolerance, as_matrix, numerical_rank
-from .model import ModelDims, StructuralParams, ir_horizon
+from .model import ModelDims, StructuralParams, _impulse_responses
 
 _BLOCK_RE = re.compile(r"^(A0|LAG([0-9]+)|IR([0-9]+))$")
 _ASSIGN_RE = re.compile(r"^(n|p)\s*=\s*(\S+)$")
@@ -308,20 +308,26 @@ def compile_spec(spec: RestrictionSpec) -> CompiledRestrictions:
     )
 
 
+def _assemble_stack(a0: np.ndarray, aplus: np.ndarray, blocks, p: int, tol: RankTolerance) -> np.ndarray:
+    """f of stacked structural points (A0 (M, n, n), Aplus (M, m, n)): each
+    block's matrix value stacked vertically, in the given order (M, k, n)."""
+    n = a0.shape[-1]
+    irs = iter(_impulse_responses(a0, aplus, [b.index for b in blocks if b.kind == "IR"], p, tol))
+    return np.concatenate([
+        a0 if b.kind == "A0" else aplus[:, (b.index - 1) * n:b.index * n] if b.kind == "LAG"
+        else next(irs)
+        for b in blocks
+    ], axis=1)
+
+
 def block_value(s: StructuralParams, block: BlockId, tol: RankTolerance = DEFAULT_TOL) -> np.ndarray:
     """The n x n matrix a block's pattern applies to, at structural point s."""
-    n = s.dims.n
-    if block.kind == "A0":
-        return np.asarray(s.A0)
-    if block.kind == "LAG":
-        lo = (block.index - 1) * n
-        return np.asarray(s.Aplus[lo:lo + n, :])
-    return ir_horizon(s, block.index, tol)
+    return _assemble_stack(s.A0[None], s.Aplus[None], [block], s.dims.p, tol)[0]
 
 
 def assemble_f(s: StructuralParams, spec: RestrictionSpec, tol: RankTolerance = DEFAULT_TOL) -> np.ndarray:
     """Stack every block's matrix value vertically, in declared order (k x n)."""
-    return np.vstack([block_value(s, block, tol) for block, _ in spec.blocks])
+    return _assemble_stack(s.A0[None], s.Aplus[None], [b for b, _ in spec.blocks], s.dims.p, tol)[0]
 
 
 def restriction_residual(

@@ -42,14 +42,25 @@ def stream_key(seed: int, index: int) -> int:
     return int(seq.generate_state(1, np.uint64)[0])
 
 
+def _draw_stack(cfg: SamplerConfig, keys) -> tuple[np.ndarray, np.ndarray]:
+    """The draws with generator keys `keys` (see stream_key), stacked: B
+    (M, m, n) and Sigma (M, n, n).  Each key seeds its own generator, so
+    every draw is the one draw_reduced_form gives for its index."""
+    n, m = cfg.dims.n, cfg.dims.m
+    z, b = np.empty((len(keys), n, n)), np.empty((len(keys), m, n))
+    for i, key in enumerate(keys):
+        rng = np.random.default_rng(key)
+        rng.standard_normal(out=z[i])
+        rng.standard_normal(out=b[i])
+    low = np.tril(z, -1) * cfg.scale
+    diag = np.s_[:, ::n + 1]  # the diagonals, with each matrix flattened
+    low.reshape(len(keys), -1)[diag] = np.abs(z.reshape(len(keys), -1)[diag]) * cfg.scale + cfg.diag_floor
+    sigma = low @ low.swapaxes(1, 2)
+    sigma = (sigma + sigma.swapaxes(1, 2)) / 2.0
+    return b * cfg.scale, sigma
+
+
 def draw_reduced_form(cfg: SamplerConfig, index: int) -> ReducedFormParams:
     """Deterministic draw number `index` from the stream defined by cfg.seed."""
-    rng = np.random.default_rng(stream_key(cfg.seed, index))
-    n, m = cfg.dims.n, cfg.dims.m
-    z = rng.standard_normal((n, n))
-    low = np.tril(z, -1) * cfg.scale
-    np.fill_diagonal(low, np.abs(np.diag(z)) * cfg.scale + cfg.diag_floor)
-    sigma = low @ low.T
-    sigma = (sigma + sigma.T) / 2.0
-    b = rng.standard_normal((m, n)) * cfg.scale
-    return ReducedFormParams(cfg.dims, b, sigma)
+    b, sigma = _draw_stack(cfg, [stream_key(cfg.seed, index)])
+    return ReducedFormParams(cfg.dims, b[0], sigma[0])

@@ -12,13 +12,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from svarident import identify
 from svarident.cli import main
+from svarident.errors import UnrestrictedPointError
 from svarident.identify import Verdict, check_exact_identification, restricted_point, theorem6_check
 from svarident.report import check_report_dict, verdict_exit_code
 from svarident.restrictions import compile_spec, parse_spec
 from svarident.sampler import SamplerConfig, draw_reduced_form
 
-from helpers import spec_text_from_cells
+from helpers import corpus, spec_text_from_cells
 
 ROOT = Path(__file__).resolve().parent.parent
 CEX = str(ROOT / "specs" / "counterexample.spec")
@@ -260,6 +262,49 @@ def test_cross_check_shown_when_f_is_large(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["verdict"] == "ExactlyIdentified"
     assert payload["theorem6"] == {"ranks": [5, 5, 5, 5, 5], "pass": True}
+
+
+def test_each_point_is_walked_once(monkeypatch, capsys):
+    # check takes its cross-check's restricted point from the walk of its
+    # first draw, picking with pick seed 0 as restricted_point does; the API
+    # check walks without picking
+    walks = []
+
+    def counting(a0, aplus, f, c, tol, pick_rng=None):
+        walks.append((len(a0), pick_rng and pick_rng.bit_generator.state["state"]))
+        return build(a0, aplus, f, c, tol, pick_rng)
+
+    build = identify._build_columns
+    seed0 = np.random.default_rng(0).bit_generator.state["state"]
+    monkeypatch.setattr(identify, "_build_columns", counting)
+    for spec in (CEX, REC3):
+        for command, walked in (("check", [(7, seed0)]), ("explain", [(7, None)]),
+                                ("rotate", [(1, seed0)])):
+            walks.clear()
+            main([command, "--spec", spec, "--draws", "7", "--format", "json"])
+            assert walks == walked, (spec, command)
+        walks.clear()
+        check_exact_identification(parse_spec(Path(spec).read_text()), draws=7)
+        assert walks == [(7, None)]
+    capsys.readouterr()
+
+
+def test_cross_check_is_theorem6_at_the_restricted_point_of_draw_0(tmp_path, capsys):
+    for entry in corpus():
+        path = tmp_path / f"{entry.name}.spec"
+        path.write_text(entry.text, encoding="utf-8")
+        spec = parse_spec(entry.text)
+        c = compile_spec(spec)
+        for seed in (0, 9, 40):
+            main(["check", "--spec", str(path), "--seed", str(seed), "--format", "json"])
+            shown = json.loads(capsys.readouterr().out).get("theorem6")
+            r0 = draw_reduced_form(SamplerConfig(dims=spec.dims, seed=seed), 0)
+            try:
+                t6 = theorem6_check(restricted_point(r0, c, spec), c, spec)
+            except UnrestrictedPointError:
+                assert shown is None, (entry.name, seed)
+                continue
+            assert shown == {"ranks": list(t6.ranks), "pass": t6.passed}, (entry.name, seed)
 
 
 def test_verdict_exit_codes():

@@ -12,16 +12,20 @@ from svarident.fixtures import recursive_spec_text
 from svarident.identify import (
     OnRedundancy,
     _build_columns,
+    _check,
+    _front,
     _pick,
+    _sampled,
     check_exact_identification,
     construct_rotation,
     nonredundancy_at,
     q_tilde,
+    redundancy_explanation,
 )
 from svarident.linalg import DEFAULT_TOL, RankTolerance, random_orthogonal
 from svarident.model import baseline_structural
 from svarident.restrictions import assemble_f, compile_spec, parse_spec
-from svarident.sampler import SamplerConfig, draw_reduced_form
+from svarident.sampler import SamplerConfig, _draw_stack, draw_reduced_form, stream_key
 
 from helpers import corpus, oracle_rank, spec_text_from_cells
 
@@ -104,11 +108,11 @@ def test_infeasible_batch_raises_for_the_first_infeasible_point():
     spec = parse_spec(spec_text_from_cells(2, 1, {"A0": {(1, 1), (2, 1)}}))
     c = compile_spec(spec)
     cfg = SamplerConfig(dims=spec.dims, seed=0)
-    points = [draw_reduced_form(cfg, i) for i in range(3)]
+    b, sigma = _draw_stack(cfg, [stream_key(cfg.seed, i) for i in range(3)])
     with pytest.raises(InfeasibleRestrictionsError) as batched:
-        _build_columns(points, c, spec, DEFAULT_TOL)
+        _build_columns(*_front(b, sigma, spec, DEFAULT_TOL), c, DEFAULT_TOL)
     with pytest.raises(InfeasibleRestrictionsError) as single:
-        _build_columns(points[:1], c, spec, DEFAULT_TOL)
+        _build_columns(*_front(b[:1], sigma[:1], spec, DEFAULT_TOL), c, DEFAULT_TOL)
     assert str(batched.value) == str(single.value)
     assert batched.value.diagnostics == single.value.diagnostics
 
@@ -124,3 +128,45 @@ def test_pick_depends_on_the_null_space_only():
             assert float(np.abs(a - b).max()) <= 1e-10
             assert abs(float(np.linalg.norm(a)) - 1.0) <= 1e-12
             assert float(np.abs(basis.T @ (basis @ a) - a).max()) <= 1e-12
+
+
+def test_first_point_picks_but_keeps_its_aborting_record():
+    # check walks draw 0 once: it picks past the redundant column for the
+    # cross-check, and still reports what the aborting walk reports
+    for entry in corpus():
+        spec = parse_spec(entry.text)
+        c = compile_spec(spec)
+        cfg = SamplerConfig(dims=spec.dims, seed=31)
+        report, first = _check(spec, c, DEFAULT_TOL, *_sampled(cfg, 4, spec), np.random.default_rng(0))
+        assert report == check_exact_identification(spec, config=cfg, draws=4), entry.name
+        r0 = draw_reduced_form(cfg, 0)
+        alone = nonredundancy_at(r0, c, spec)
+        assert report.draws[0].per_column == alone.per_column, entry.name
+        assert report.draws[0].passed == alone.unique
+        if entry.expected == "redundant":
+            assert report.implicated == redundancy_explanation(r0, c, spec), entry.name
+        picked = construct_rotation(r0, c, spec, OnRedundancy.PICK_ARBITRARY, pick_seed=0)
+        assert np.array_equal(first.rotation.P, picked.P), entry.name
+        assert first.rotation.per_column == picked.per_column
+        assert first.rotation.sign_flips == picked.sign_flips
+
+
+def test_restricted_pivot_sign_ignores_rounding_noise():
+    # A0[1,1] is restricted, so the pivot (A0 P)_11 is zero up to rounding.
+    # Noise of either sign, well above the sign rule's 1e-12 relative
+    # threshold, must leave the signs of P as they are.
+    spec = parse_spec(spec_text_from_cells(3, 1, {"A0": {(1, 1), (2, 1), (2, 2)}}))
+    c = compile_spec(spec)
+    for seed in range(6):
+        r = draw_reduced_form(SamplerConfig(dims=spec.dims, seed=seed), 0)
+        a0, aplus, f = _front(r.B[None], r.Sigma[None], spec, DEFAULT_TOL)
+        walk = _build_columns(a0, aplus, f, c, DEFAULT_TOL)[0]
+        p1 = walk.rotation.P[:, 0]
+        image = a0[0] @ p1
+        for noise in (1e-9, -1e-9):
+            moved = a0.copy()  # changes row 1 along p1 only: (A0 p1)_1 = noise * max|A0 p1|
+            moved[0, 0] += (noise * np.abs(image).max() - image[0]) * p1
+            assert abs(moved[0, 0] @ p1 / np.abs(image).max() - noise) < 1e-12
+            rot = _build_columns(moved, aplus, f, c, DEFAULT_TOL)[0].rotation
+            assert np.array_equal(rot.P, walk.rotation.P), seed
+            assert rot.sign_flips == walk.rotation.sign_flips, (seed, noise)
