@@ -24,13 +24,9 @@ from .errors import (
     UnrestrictedPointError,
 )
 from .linalg import (
-    NullStatus,
-    NullVectorResult,
     RankTolerance,
     cholesky_lower,
     numerical_rank,
-    random_orthogonal,
-    unit_null_vector,
 )
 from .model import (
     ModelDims,
@@ -93,8 +89,6 @@ __all__ = [
     "ModelDims",
     "NotPositiveDefiniteError",
     "NotSymmetricError",
-    "NullStatus",
-    "NullVectorResult",
     "OnRedundancy",
     "RankTolerance",
     "ReducedFormParams",
@@ -126,7 +120,6 @@ __all__ = [
     "numerical_rank",
     "parse_spec",
     "q_tilde",
-    "random_orthogonal",
     "redundancy_explanation",
     "restricted_point",
     "restriction_residual",
@@ -134,5 +127,4 @@ __all__ = [
     "stream_key",
     "theorem6_check",
     "to_reduced_form",
-    "unit_null_vector",
 ]

@@ -10,6 +10,7 @@ cells).  Exit codes: 0 identified or success, 1 usage or I/O problem,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -63,7 +64,10 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and shared by every later
+    main() in the process; parse_args leaves it as it was."""
     parser = _Parser(
         prog="svar-ident",
         description="Exact-identification checks for zero-restricted structural VARs.",

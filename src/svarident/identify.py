@@ -27,7 +27,7 @@ from .errors import (
     SingularA0Error,
     UnrestrictedPointError,
 )
-from .linalg import DEFAULT_TOL, RankTolerance, svd_rank_null
+from .linalg import DEFAULT_TOL, RankTolerance, as_matrix
 from .model import ModelDims, ReducedFormParams, StructuralParams, _baseline_stack
 from .restrictions import (
     BlockId,
@@ -420,8 +420,8 @@ def theorem6_check(
 ) -> Theorem6Result:
     """Rank cross-check at a structural point satisfying the restrictions.
 
-    For each permuted column j stacks Q_j f with unit rows marking the j
-    columns processed so far and reports the numerical ranks.  Exact
+    For each permuted column j stacks M_j = [Q_j f; 0; unit rows marking the
+    j columns processed so far] and reports the numerical ranks.  Exact
     identification requires every rank to equal n and the restriction total
     to equal n(n-1)/2.  The point must actually satisfy the restrictions:
     at unrestricted points the rank test is vacuous, which is exactly how
@@ -429,6 +429,11 @@ def theorem6_check(
     as restricted when the worst restricted entry of f is at most
     residual_tol * max(1, max|f|), because IR blocks at long horizons make
     f's entries, and with them the roundoff in a zero restriction, large.
+
+    All n stacks go through one singular-value call, each zero-padded below
+    to k + n rows.  Zero rows leave a matrix's singular values unchanged, so
+    each rank is that of M_j alone, counted against the cutoff of its own
+    k + j rows.
     """
     f_val = assemble_f(s_restricted, spec, tol)
     residual = worst_violation(c, f_val)
@@ -439,18 +444,19 @@ def theorem6_check(
             f"max(1, max|f|) = {bound:.3e}; evaluate at a restricted point "
             "(see construct_rotation)"
         )
-    n = c.dims.n
-    ranks = []
+    n, k = c.dims.n, c.k
+    stacks = np.zeros((n, k + n, n))
     for t in range(n):
-        # unit rows for the columns handled at steps 1..j, in original
-        # coordinates; with an identity permutation this is [I_j 0]
-        ident = np.eye(n)[list(c.permutation[:t + 1])]
-        # Q_j f is padded back to k rows with zeros on purpose: the relative
-        # cutoff grows with the row count, so dropping the zero rows would
-        # move the rank decision at borderline restricted points.
-        padding = np.zeros((c.k - c.Q[t].shape[0], n))
-        stacked = np.vstack([c.Q[t] @ f_val, padding, ident])
-        ranks.append(svd_rank_null(stacked, tol)[0])
+        stacks[t, :c.Q[t].shape[0]] = c.Q[t] @ f_val
+    # unit rows for the columns handled at steps 1..j, in original
+    # coordinates; with an identity permutation this is [I_j 0]
+    stacks[:, k:] = np.tril(np.ones((n, n)))[:, :, None] * np.eye(n)[list(c.permutation)]
+    svals = np.linalg.svd(as_matrix(stacks, stack=True), compute_uv=False)
+    # M_j's cutoff counts its k + j rows, the zero rows below Q_j f included,
+    # on purpose: the relative cutoff grows with the row count, so dropping
+    # those rows would move the rank decision at borderline restricted points.
+    ranks = [int(np.count_nonzero(svals[t] > tol.resolve((k + t + 1, n), svals[t, 0])))
+             for t in range(n)]
     required = n * (n - 1) // 2
     count_ok = c.total == required
     rank_ok = all(r == n for r in ranks)

@@ -8,7 +8,6 @@ caller in the package counts singular values the same way.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -99,69 +98,3 @@ def numerical_rank(m, tol: RankTolerance = DEFAULT_TOL):
     s = np.linalg.svd(m, compute_uv=False)
     ranks = (s > tol.resolve(m.shape[-2:], s[..., :1])).sum(axis=-1)
     return int(ranks) if m.ndim == 2 else ranks
-
-
-def svd_rank_null(m, tol: RankTolerance = DEFAULT_TOL):
-    """One SVD giving (rank, orthonormal null-space rows, singular values).
-
-    The null rows span the right null space of m; for a k x n input the
-    returned basis has n - rank rows of length n.
-    """
-    m = as_matrix(m)
-    k, n = m.shape
-    if k == 0:
-        return 0, np.eye(n), np.zeros(0)
-    _, s, vh = np.linalg.svd(m, full_matrices=True)
-    rank = int(np.count_nonzero(s > tol.resolve(m.shape, float(s[0]))))
-    return rank, vh[rank:], s
-
-
-class NullStatus(Enum):
-    UNIQUE = "Unique"
-    RANK_DEFICIENT = "RankDeficient"
-    NO_NULL_VECTOR = "NoNullVector"
-
-
-@dataclass(frozen=True)
-class NullVectorResult:
-    """A unit null vector (or None) plus how determined it was."""
-
-    vector: np.ndarray | None
-    status: NullStatus
-    null_dim: int
-
-
-def unit_null_vector(m, tol: RankTolerance = DEFAULT_TOL) -> NullVectorResult:
-    """Unit-norm right null vector of m with a uniqueness status.
-
-    Unique when rank = n - 1 (one-dimensional null space), RankDeficient with
-    an arbitrary basis vector when rank < n - 1, NoNullVector at full rank.
-    """
-    m = as_matrix(m)
-    rank, null_rows, _ = svd_rank_null(m, tol)
-    n = m.shape[1]
-    null_dim = n - rank
-    if null_dim == 0:
-        return NullVectorResult(None, NullStatus.NO_NULL_VECTOR, 0)
-    vec = null_rows[0]
-    nrm = float(np.linalg.norm(vec))
-    if nrm > 0.0:
-        vec = vec / nrm
-    status = NullStatus.UNIQUE if null_dim == 1 else NullStatus.RANK_DEFICIENT
-    return NullVectorResult(vec, status, null_dim)
-
-
-def random_orthogonal(n: int, seed: int) -> np.ndarray:
-    """Deterministic random orthogonal n x n matrix for a given seed.
-
-    Orthonormalizes a square standard-normal draw by QR and fixes the signs
-    with the diagonal of R, which also makes the distribution uniform over
-    the orthogonal group.
-    """
-    if n < 1:
-        raise ValueError("n must be positive")
-    rng = np.random.default_rng(seed)
-    q, r = np.linalg.qr(rng.standard_normal((n, n)))
-    d = np.sign(np.diag(r))
-    d[d == 0] = 1.0
-    return q * d

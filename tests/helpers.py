@@ -1,4 +1,5 @@
-"""Shared test utilities: independent oracles and a corpus of schemes.
+"""Shared test utilities: independent oracles, null-vector helpers and a
+corpus of schemes.
 
 The rank oracle is a hand-rolled one-sided Jacobi SVD so that rank
 agreement tests never share a code path with the package's LAPACK-based
@@ -11,8 +12,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from enum import Enum
 
 import numpy as np
+
+from svarident.linalg import DEFAULT_TOL, RankTolerance, as_matrix
 
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -103,7 +107,6 @@ def scipy_null_solver(qt):
 def mixed_rows_null_solver(seed: int):
     """Backend that premultiplies the stack by a well-conditioned random
     matrix before solving; the null space is unchanged up to roundoff."""
-    from svarident.linalg import svd_rank_null
 
     def solve(qt):
         rng = np.random.default_rng(seed)
@@ -113,6 +116,75 @@ def mixed_rows_null_solver(seed: int):
         return rows[0]
 
     return solve
+
+
+# --- null vectors and rotations --------------------------------------------
+
+
+def svd_rank_null(m, tol: RankTolerance = DEFAULT_TOL):
+    """One SVD giving (rank, orthonormal null-space rows, singular values).
+
+    The null rows span the right null space of m; for a k x n input the
+    returned basis has n - rank rows of length n.
+    """
+    m = as_matrix(m)
+    k, n = m.shape
+    if k == 0:
+        return 0, np.eye(n), np.zeros(0)
+    _, s, vh = np.linalg.svd(m, full_matrices=True)
+    rank = int(np.count_nonzero(s > tol.resolve(m.shape, float(s[0]))))
+    return rank, vh[rank:], s
+
+
+class NullStatus(Enum):
+    UNIQUE = "Unique"
+    RANK_DEFICIENT = "RankDeficient"
+    NO_NULL_VECTOR = "NoNullVector"
+
+
+@dataclass(frozen=True)
+class NullVectorResult:
+    """A unit null vector (or None) plus how determined it was."""
+
+    vector: np.ndarray | None
+    status: NullStatus
+    null_dim: int
+
+
+def unit_null_vector(m, tol: RankTolerance = DEFAULT_TOL) -> NullVectorResult:
+    """Unit-norm right null vector of m with a uniqueness status.
+
+    Unique when rank = n - 1 (one-dimensional null space), RankDeficient with
+    an arbitrary basis vector when rank < n - 1, NoNullVector at full rank.
+    """
+    m = as_matrix(m)
+    rank, null_rows, _ = svd_rank_null(m, tol)
+    n = m.shape[1]
+    null_dim = n - rank
+    if null_dim == 0:
+        return NullVectorResult(None, NullStatus.NO_NULL_VECTOR, 0)
+    vec = null_rows[0]
+    nrm = float(np.linalg.norm(vec))
+    if nrm > 0.0:
+        vec = vec / nrm
+    status = NullStatus.UNIQUE if null_dim == 1 else NullStatus.RANK_DEFICIENT
+    return NullVectorResult(vec, status, null_dim)
+
+
+def random_orthogonal(n: int, seed: int) -> np.ndarray:
+    """Deterministic random orthogonal n x n matrix for a given seed.
+
+    Orthonormalizes a square standard-normal draw by QR and fixes the signs
+    with the diagonal of R, which also makes the distribution uniform over
+    the orthogonal group.
+    """
+    if n < 1:
+        raise ValueError("n must be positive")
+    rng = np.random.default_rng(seed)
+    q, r = np.linalg.qr(rng.standard_normal((n, n)))
+    d = np.sign(np.diag(r))
+    d[d == 0] = 1.0
+    return q * d
 
 
 # --- scheme corpus ---------------------------------------------------------

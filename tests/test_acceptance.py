@@ -21,7 +21,7 @@ from svarident.identify import (
     sign_normalize,
     theorem6_check,
 )
-from svarident.linalg import numerical_rank, random_orthogonal, unit_null_vector
+from svarident.linalg import numerical_rank
 from svarident.model import (
     ModelDims,
     ReducedFormParams,
@@ -37,7 +37,14 @@ from svarident.restrictions import (
 )
 from svarident.sampler import SamplerConfig, draw_reduced_form
 
-from helpers import corpus, oracle_rank, rank_test_matrices, spec_text_from_cells
+from helpers import (
+    corpus,
+    oracle_rank,
+    random_orthogonal,
+    rank_test_matrices,
+    spec_text_from_cells,
+    unit_null_vector,
+)
 
 
 def _line(num, ok, text):

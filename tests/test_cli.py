@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from svarident import identify
+from svarident import cli, identify
 from svarident.cli import main
 from svarident.errors import UnrestrictedPointError
 from svarident.identify import Verdict, check_exact_identification, restricted_point, theorem6_check
@@ -325,6 +325,29 @@ def test_repeat_runs_byte_identical():
         code_b, out_b, _ = run_cli(*argv)
         assert code_a == code_b
         assert out_a == out_b, argv
+
+
+def test_one_parser_serves_every_call(monkeypatch, capsys):
+    # main reuses one parser per process, also after a call it refused, so
+    # every call prints what the same call prints in a fresh interpreter
+    monkeypatch.setenv("COLUMNS", "80")  # --help wraps to the same width in both
+    calls = [
+        ("check", "--spec", REC3, "--tol", "nan"),
+        ("--help",),
+        (),
+        ("check", "--spec", CEX),
+        ("explain", "--spec", CEX, "--format", "json"),
+    ]
+    cli._build_parser.cache_clear()
+    in_process = []
+    for argv in calls:
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        in_process.append((code, captured.out, captured.err))
+    assert cli._build_parser.cache_info().misses == 1
+    assert [code for code, _, _ in in_process] == [1, 0, 1, 2, 0]
+    for argv, got in zip(calls, in_process):
+        assert got == run_cli(*argv), argv
 
 
 def test_module_entrypoint():

@@ -27,7 +27,7 @@ from svarident.identify import (
     sign_normalize,
     theorem6_check,
 )
-from svarident.linalg import RankTolerance, unit_null_vector
+from svarident.linalg import RankTolerance
 from svarident.model import (
     ModelDims,
     ReducedFormParams,
@@ -49,6 +49,8 @@ from helpers import (
     mixed_rows_null_solver,
     scipy_null_solver,
     spec_text_from_cells,
+    svd_rank_null,
+    unit_null_vector,
 )
 
 OVERCOUNTED = spec_text_from_cells(
@@ -245,6 +247,49 @@ def test_theorem6_count_mismatch_reported():
     t6 = theorem6_check(baseline_structural(r), c, spec)
     assert t6.total == 2 and t6.required == 3
     assert not t6.count_ok and not t6.passed
+
+
+def _theorem6_reference_ranks(s, c, spec):
+    # the cross-check one stack at a time: one SVD of each unpadded
+    # M_t = [Q_t f; 0; unit rows], its cutoff at its own k + t + 1 rows
+    f = assemble_f(s, spec)
+    n = c.dims.n
+    ranks = []
+    for t in range(n):
+        ident = np.eye(n)[list(c.permutation[:t + 1])]
+        stacked = np.vstack([c.Q[t] @ f, np.zeros((c.k - c.Q[t].shape[0], n)), ident])
+        ranks.append(svd_rank_null(stacked)[0])
+    return tuple(ranks)
+
+
+def test_theorem6_one_svd_call_keeps_each_rank():
+    # the stacked, zero-padded singular-value call counts the same ranks as
+    # one SVD per M_t: the corpus (redundant schemes drop ranks below n),
+    # an IR12 scheme whose f reaches past 1e6, n = 1, and a count failure
+    # with two columns that carry no restriction (q_t = 0)
+    ir12 = (
+        "n = 5\np = 2\n"
+        "block A0\nx x x x x\nx x x x 0\nx x 0 x 0\nx x x x x\nx x x x x\n"
+        "block LAG1\n0 x x 0 0\nx x x x x\nx x x x x\nx x x x x\nx x x x x\n"
+        "block IR0\nx x x x x\nx x x x x\nx x x x x\nx x x x x\nx x x x 0\n"
+        "block IR12\nx x x x x\nx x x x x\n0 x x 0 x\nx x x x x\n0 x x x x\n"
+    )
+    cases = [(e.name, e.text, (0, 1, 2)) for e in corpus()]
+    cases += [("ir12", ir12, (1000014, 0, 1)), ("n1", "n = 1\np = 1\nblock A0\nx\n", (0, 1, 2)),
+              ("undercounted", spec_text_from_cells(3, 1, {"A0": {(2, 1), (3, 1)}}), (0, 1, 2))]
+    deficient = large_f = 0
+    for name, text, seeds in cases:
+        spec = parse_spec(text)
+        c = compile_spec(spec)
+        for seed in seeds:
+            r = draw_reduced_form(SamplerConfig(dims=spec.dims, seed=seed), 0)
+            s = restricted_point(r, c, spec)
+            ranks = theorem6_check(s, c, spec).ranks
+            assert ranks == _theorem6_reference_ranks(s, c, spec), (name, seed)
+            deficient += min(ranks) < spec.dims.n
+            large_f += float(np.abs(assemble_f(s, spec)).max()) > 1e6
+    assert deficient >= 3 * 7 and large_f >= 1
+    assert compile_spec(parse_spec(cases[-1][1])).q == (2, 0, 0)
 
 
 def test_check_requires_two_draws():

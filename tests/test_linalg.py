@@ -7,18 +7,16 @@ import pytest
 from numpy.testing import assert_allclose
 
 from svarident.errors import NotPositiveDefiniteError, NotSymmetricError
-from svarident.linalg import (
-    DEFAULT_TOL,
+from svarident.linalg import DEFAULT_TOL, RankTolerance, cholesky_lower, numerical_rank
+
+from helpers import (
     NullStatus,
-    RankTolerance,
-    cholesky_lower,
-    numerical_rank,
+    oracle_rank,
     random_orthogonal,
+    rank_test_matrices,
     svd_rank_null,
     unit_null_vector,
 )
-
-from helpers import oracle_rank, rank_test_matrices
 
 
 def test_cholesky_known_factor():

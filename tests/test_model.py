@@ -7,7 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from svarident.errors import NotSymmetricError, SingularA0Error
-from svarident.linalg import cholesky_lower, random_orthogonal
+from svarident.linalg import cholesky_lower
 from svarident.model import (
     ModelDims,
     ReducedFormParams,
@@ -18,6 +18,8 @@ from svarident.model import (
     to_reduced_form,
 )
 from svarident.sampler import SamplerConfig, draw_reduced_form
+
+from helpers import random_orthogonal
 
 
 def _random_structural(rng, n, p):

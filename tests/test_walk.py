@@ -22,12 +22,12 @@ from svarident.identify import (
     q_tilde,
     redundancy_explanation,
 )
-from svarident.linalg import DEFAULT_TOL, RankTolerance, random_orthogonal
+from svarident.linalg import DEFAULT_TOL, RankTolerance
 from svarident.model import baseline_structural
 from svarident.restrictions import assemble_f, compile_spec, parse_spec
 from svarident.sampler import SamplerConfig, _draw_stack, draw_reduced_form, stream_key
 
-from helpers import corpus, oracle_rank, spec_text_from_cells
+from helpers import corpus, oracle_rank, random_orthogonal, spec_text_from_cells
 
 
 @st.composite

@@ -16,12 +16,17 @@ everything below them):
   baseline          baseline_structural / the stacked baseline
   f                 assemble_f / the stacked assembly of f
   walk              _build_columns (the check's walk of its draws)
-  cross-check walk  _picked: a second walk of draw 0 for the cross-check
+  cross-check walk  _picked: a second walk of draw 0 for the cross-check,
+                    made by older trees (check now reads draw 0's walk)
   theorem6          theorem6_check
   render            check_report_dict, check_report_text, render_json
   parse+compile     parse_spec, compile_spec
   argparse          the CLI's argument parser
   other             the rest of the op
+Work counts per op: draws sampled and points walked, read off the calls'
+arguments, and svd calls, the package's calls of np.linalg.svd (the SVDs
+inside np.linalg.norm are not counted).  A count repeats exactly for a
+seed, so it shows a change in work free of timing noise.
 The timers add a few microseconds per wrapped call; the overhead line
 compares the op time with and without them.  The last line is JSON.
 """
@@ -66,14 +71,14 @@ COUNTED = {("sampler", "draw_reduced_form"): ("draws sampled", lambda a: 1),
 class Timers:
     def __init__(self):
         self.self_s: dict[str, float] = {}
-        self.counts: dict[str, int] = {}
+        self.counts = {"draws sampled": 0, "points walked": 0, "svd calls": 0}
         self.stack: list[list] = []  # [layer, child seconds]
 
     def wrap(self, layer, fn, counter):
         def timed(*args, **kwargs):
             if counter:
                 name, count = counter
-                self.counts[name] = self.counts.get(name, 0) + count(args)
+                self.counts[name] += count(args)
             if self.stack and self.stack[-1][0] in INCLUSIVE:
                 return fn(*args, **kwargs)
             self.stack.append([layer, 0.0])
@@ -90,7 +95,17 @@ class Timers:
 
 
 def install(timers: Timers) -> None:
-    """Replace each layer function, in every package module that holds it."""
+    """Replace each layer function, in every package module that holds it,
+    and count the calls of np.linalg.svd."""
+    import numpy as np
+
+    svd = np.linalg.svd
+
+    def counted_svd(*args, **kwargs):
+        timers.counts["svd calls"] += 1
+        return svd(*args, **kwargs)
+
+    np.linalg.svd = counted_svd
     mods = {name: importlib.import_module(f"svarident.{name}")
             for name in ("sampler", "model", "restrictions", "identify", "report", "cli")}
     for layer, candidates in LAYERS.items():
