@@ -23,17 +23,12 @@ from .errors import (
     UnknownBlockError,
     UnrestrictedPointError,
 )
-from .linalg import (
-    RankTolerance,
-    cholesky_lower,
-    numerical_rank,
-)
+from .linalg import RankTolerance
 from .model import (
     ModelDims,
     ReducedFormParams,
     StructuralParams,
     baseline_structural,
-    contemporaneous_ir,
     ir_horizon,
     to_reduced_form,
 )
@@ -42,7 +37,6 @@ from .restrictions import (
     CompiledRestrictions,
     RestrictionSpec,
     assemble_f,
-    block_value,
     compile_spec,
     parse_spec,
     restriction_residual,
@@ -63,10 +57,8 @@ from .identify import (
     construct_rotation,
     count_condition,
     nonredundancy_at,
-    q_tilde,
     redundancy_explanation,
     restricted_point,
-    sign_normalize,
     theorem6_check,
 )
 from .sampler import SamplerConfig, draw_reduced_form, stream_key
@@ -106,24 +98,18 @@ __all__ = [
     "Verdict",
     "assemble_f",
     "baseline_structural",
-    "block_value",
     "check_at_point",
     "check_exact_identification",
-    "cholesky_lower",
     "compile_spec",
     "construct_rotation",
-    "contemporaneous_ir",
     "count_condition",
     "draw_reduced_form",
     "ir_horizon",
     "nonredundancy_at",
-    "numerical_rank",
     "parse_spec",
-    "q_tilde",
     "redundancy_explanation",
     "restricted_point",
     "restriction_residual",
-    "sign_normalize",
     "stream_key",
     "theorem6_check",
     "to_reduced_form",

@@ -17,19 +17,12 @@ from pathlib import Path
 import numpy as np
 
 from . import fixtures
-from .errors import (
-    InfeasibleRestrictionsError,
-    SpecError,
-    SvarIdentError,
-    UnrestrictedPointError,
-)
+from .errors import InfeasibleRestrictionsError, SpecError, SvarIdentError
 from .identify import (
+    IdentificationReport,
     Verdict,
-    _check,
-    _explicit,
     _picked,
-    _rotated,
-    _sampled,
+    check_at_point,
     check_exact_identification,
     count_condition,
     q_tilde,
@@ -122,45 +115,33 @@ def _explicit_point(args, dims: ModelDims) -> ReducedFormParams:
     return ReducedFormParams(dims, b, sigma)
 
 
-def _run_check(args, tol, pick_rng=None) -> tuple:
-    """(spec, its compilation, the report, the walk at the first point)."""
+def _report(args) -> IdentificationReport:
+    """The check of the document: at the --sigma/--b point when either file
+    is given, else over --draws sampled draws."""
+    tol = _tolerance(args)
     spec = _load_spec(args)
-    c = compile_spec(spec)
     if args.sigma is not None or args.b is not None:
-        points = _explicit(_explicit_point(args, spec.dims), spec)
-    elif args.draws < 2:
-        raise ValueError("--draws must be at least 2")
-    else:
-        points = _sampled(SamplerConfig(dims=spec.dims, seed=args.seed), args.draws, spec)
-    return spec, c, *_check(spec, c, tol, *points, pick_rng)
+        return check_at_point(spec, _explicit_point(args, spec.dims), tol)
+    return check_exact_identification(spec, draws=args.draws, seed=args.seed, tol=tol)
 
 
 def _cmd_check(args) -> int:
     try:
-        tol = _tolerance(args)
-        # the first point's walk picks past rank-deficient columns, so it
-        # gives the restricted point of the rank cross-check
-        spec, c, report, first = _run_check(args, tol, np.random.default_rng(0))
-        theorem6 = None
-        if first is not None:
-            try:
-                theorem6 = theorem6_check(_rotated(first, spec.dims), c, spec, tol)
-            except UnrestrictedPointError:
-                pass
+        report = _report(args)
     except (OSError, ValueError, SvarIdentError) as exc:
         return _fail(str(exc))
     if args.format == "json":
-        payload = check_report_dict(report, args.spec, "check", theorem6)
+        payload = check_report_dict(report, args.spec, "check", report.theorem6)
         sys.stdout.write(render_json(payload))
     else:
         sys.stdout.write("svar-ident check\n")
-        sys.stdout.write(check_report_text(report, args.spec, theorem6))
+        sys.stdout.write(check_report_text(report, args.spec, report.theorem6))
     return verdict_exit_code(report.verdict)
 
 
 def _cmd_explain(args) -> int:
     try:
-        report = _run_check(args, _tolerance(args))[2]
+        report = _report(args)
     except (OSError, ValueError, SvarIdentError) as exc:
         return _fail(str(exc))
     verdict = report.verdict

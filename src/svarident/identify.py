@@ -41,6 +41,9 @@ from .restrictions import (
 from .sampler import SamplerConfig, _draw_stack, stream_key
 
 _SIGN_EPS = 1e-12
+# theorem6_check's restricted-point test: the worst restricted entry of f may
+# be at most this times max(1, max|f|)
+_RESIDUAL_TOL = 1e-8
 # A check walks its draws in batches of _BATCH_ENTRIES // n^2, so that each
 # stacked n x n array of the walk stays near 8000 entries (64 kB).
 _BATCH_ENTRIES = 8000
@@ -148,7 +151,12 @@ class Theorem6Result:
 
 @dataclass(frozen=True)
 class IdentificationReport:
-    """Aggregate verdict over draws for one restriction document."""
+    """Aggregate verdict over draws for one restriction document.
+
+    theorem6 is the rank cross-check at the restricted point of the first
+    draw (see _check); None when no draw was walked or when that point does
+    not satisfy the restrictions to within the cross-check's tolerance.
+    """
 
     dims_n: int
     dims_p: int
@@ -160,6 +168,7 @@ class IdentificationReport:
     draws: tuple[DrawRecord, ...]
     verdict: Verdict
     implicated: tuple[ImplicatedCell, ...] = ()
+    theorem6: Theorem6Result | None = None
 
 
 def count_condition(c: CompiledRestrictions) -> CountCondition:
@@ -416,7 +425,6 @@ def theorem6_check(
     c: CompiledRestrictions,
     spec: RestrictionSpec,
     tol: RankTolerance = DEFAULT_TOL,
-    residual_tol: float = 1e-8,
 ) -> Theorem6Result:
     """Rank cross-check at a structural point satisfying the restrictions.
 
@@ -425,10 +433,10 @@ def theorem6_check(
     identification requires every rank to equal n and the restriction total
     to equal n(n-1)/2.  The point must actually satisfy the restrictions:
     at unrestricted points the rank test is vacuous, which is exactly how
-    redundant schemes evade it.  residual_tol is relative: the point counts
-    as restricted when the worst restricted entry of f is at most
-    residual_tol * max(1, max|f|), because IR blocks at long horizons make
-    f's entries, and with them the roundoff in a zero restriction, large.
+    redundant schemes evade it.  The test is relative: the point counts as
+    restricted when the worst restricted entry of f is at most 1e-8 *
+    max(1, max|f|), because IR blocks at long horizons make f's entries,
+    and with them the roundoff in a zero restriction, large.
 
     All n stacks go through one singular-value call, each zero-padded below
     to k + n rows.  Zero rows leave a matrix's singular values unchanged, so
@@ -437,10 +445,10 @@ def theorem6_check(
     """
     f_val = assemble_f(s_restricted, spec, tol)
     residual = worst_violation(c, f_val)
-    bound = residual_tol * max(1.0, float(np.abs(f_val).max()))
+    bound = _RESIDUAL_TOL * max(1.0, float(np.abs(f_val).max()))
     if residual > bound:
         raise UnrestrictedPointError(
-            f"restriction residual {residual:.3e} exceeds {residual_tol:.1e} * "
+            f"restriction residual {residual:.3e} exceeds {_RESIDUAL_TOL:.1e} * "
             f"max(1, max|f|) = {bound:.3e}; evaluate at a restricted point "
             "(see construct_rotation)"
         )
@@ -553,12 +561,6 @@ def _sampled(cfg: SamplerConfig, draws: int, spec: RestrictionSpec) -> tuple:
     return seeds, (_draw_stack(cfg, seeds[lo:lo + size]) for lo in range(0, draws, size))
 
 
-def _explicit(r: ReducedFormParams, spec: RestrictionSpec) -> tuple:
-    """One explicitly supplied point as _sampled gives draws: seed None."""
-    _require_dims(r.dims, spec)
-    return [None], [(r.B[None], r.Sigma[None])]
-
-
 def _failing_draw(exc: Exception, b, sigma, spec, tol, seeds, done: int) -> Exception:
     """The error of the lowest-index point of a batch whose front end fails,
     naming that draw and its seed; exc itself for an explicit point."""
@@ -572,16 +574,17 @@ def _failing_draw(exc: Exception, b, sigma, spec, tol, seeds, done: int) -> Exce
     return exc
 
 
-def _check(spec: RestrictionSpec, c: CompiledRestrictions, tol: RankTolerance, seeds, batches,
-           pick_rng: np.random.Generator | None = None) -> tuple[IdentificationReport, _Walk | None]:
-    """Verdict over the walks at the points of `batches` (see _sampled), and
-    the walk at the first point (None when no point is walked).
+def _check(spec: RestrictionSpec, c: CompiledRestrictions, tol: RankTolerance, seeds,
+           batches) -> IdentificationReport:
+    """Verdict over the walks at the points of `batches` (see _sampled).
 
-    Each batch is factored, assembled and walked as stacked arrays.  With
-    pick_rng the first point walks on past rank-deficient columns (see
-    _build_columns); its record is still the aborting walk's.  A
-    counting-condition failure is decided without drawing any point.  A
-    redundancy verdict is explained from the first failing point's walk.
+    Each batch is factored, assembled and walked as stacked arrays.  The
+    first point walks on past rank-deficient columns, picking with pick
+    seed 0 (see _build_columns), so that its walk also gives the restricted
+    point restricted_point gives; its record is still the aborting walk's.
+    The rank cross-check runs at that point.  A counting-condition failure
+    is decided without drawing any point.  A redundancy verdict is
+    explained from the first failing point's walk.
     """
     cc = count_condition(c)
     n = spec.dims.n
@@ -589,6 +592,7 @@ def _check(spec: RestrictionSpec, c: CompiledRestrictions, tol: RankTolerance, s
     first = None
     verdict = Verdict.NOT_IDENTIFIED_COUNT_FAILURE
     implicated: tuple[ImplicatedCell, ...] = ()
+    theorem6 = None
     if cc.overall:
         for b, sigma in batches:
             done = len(records)
@@ -596,7 +600,7 @@ def _check(spec: RestrictionSpec, c: CompiledRestrictions, tol: RankTolerance, s
                 front = _front(b, sigma, spec, tol)
             except _FRONT_ERRORS as exc:
                 raise _failing_draw(exc, b, sigma, spec, tol, seeds, done) from exc
-            walks = _build_columns(*front, c, tol, None if done else pick_rng)
+            walks = _build_columns(*front, c, tol, None if done else np.random.default_rng(0))
             if first is None:
                 first = walks[0]
             records += [DrawRecord(seeds[done + i], w.aborting(), w.rotation.unique)
@@ -609,12 +613,18 @@ def _check(spec: RestrictionSpec, c: CompiledRestrictions, tol: RankTolerance, s
             implicated = _implicated(first, c, tol)
         else:
             verdict = Verdict.INCONCLUSIVE_DRAW_DISAGREEMENT
-    report = IdentificationReport(
+        # free the last batch first: the cross-check then adds its arrays to
+        # first's, not to a whole batch's (at n = 40 a 1 MB higher peak)
+        del b, sigma, front, walks
+        try:
+            theorem6 = theorem6_check(_rotated(first, spec.dims), c, spec, tol)
+        except UnrestrictedPointError:
+            pass
+    return IdentificationReport(
         dims_n=n, dims_p=spec.dims.p, q=c.q, permutation=c.permutation, count=cc,
         total_restrictions=c.total, total_required=n * (n - 1) // 2,
-        draws=tuple(records), verdict=verdict, implicated=implicated,
+        draws=tuple(records), verdict=verdict, implicated=implicated, theorem6=theorem6,
     )
-    return report, first
 
 
 def check_at_point(
@@ -627,7 +637,8 @@ def check_at_point(
     The single evaluation is recorded as a draw with seed None.  Meant for
     callers bringing their own estimated (B, Sigma).
     """
-    return _check(spec, compile_spec(spec), tol, *_explicit(r, spec))[0]
+    _require_dims(r.dims, spec)
+    return _check(spec, compile_spec(spec), tol, [None], [(r.B[None], r.Sigma[None])])
 
 
 def check_exact_identification(
@@ -644,9 +655,11 @@ def check_exact_identification(
     mean ExactlyIdentified, unanimous failures mean
     NotIdentified_Redundancy, and disagreement is reported as
     Inconclusive_DrawDisagreement with per-column singular values kept in
-    the diagnostics rather than resolved by majority vote.
+    the diagnostics rather than resolved by majority vote.  The report also
+    carries the rank cross-check at the restricted point of draw 0, the
+    point restricted_point gives with pick seed 0.
     """
     if draws < 2:
         raise ValueError("at least 2 draws are required")
     cfg = config if config is not None else SamplerConfig(dims=spec.dims, seed=seed)
-    return _check(spec, compile_spec(spec), tol, *_sampled(cfg, draws, spec))[0]
+    return _check(spec, compile_spec(spec), tol, *_sampled(cfg, draws, spec))

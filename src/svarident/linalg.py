@@ -14,6 +14,8 @@ import numpy as np
 from .errors import NotPositiveDefiniteError, NotSymmetricError
 
 _EPS = float(np.finfo(np.float64).eps)
+# cholesky_lower's symmetry test: max|S - S'| may be at most this times max|S|
+_SYM_TOL = 1e-12
 
 
 def as_matrix(a, name: str = "matrix", stack: bool = False) -> np.ndarray:
@@ -60,7 +62,7 @@ class RankTolerance:
 DEFAULT_TOL = RankTolerance()
 
 
-def cholesky_lower(sigma, sym_tol: float = 1e-12) -> np.ndarray:
+def cholesky_lower(sigma) -> np.ndarray:
     """Lower-triangular Cholesky factor L of an SPD matrix, sigma = L L'.
 
     A stack of matrices (..., n, n) gets one factor each; an error is
@@ -72,12 +74,12 @@ def cholesky_lower(sigma, sym_tol: float = 1e-12) -> np.ndarray:
     if s.size:
         scale = np.abs(s).max(axis=(-2, -1))
         asym = np.abs(s - s.swapaxes(-1, -2)).max(axis=(-2, -1))
-        bad = asym > sym_tol * scale
+        bad = asym > _SYM_TOL * scale
         if bad.any():
             i = np.argmax(bad)
             raise NotSymmetricError(
                 f"matrix is not symmetric: max asymmetry {asym.flat[i]:.3e} "
-                f"exceeds {sym_tol:.1e} * {scale.flat[i]:.3e}"
+                f"exceeds {_SYM_TOL:.1e} * {scale.flat[i]:.3e}"
             )
     try:
         return np.linalg.cholesky(s)

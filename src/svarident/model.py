@@ -169,15 +169,6 @@ def _impulse_responses(a0: np.ndarray, aplus, horizons, p: int, tol: RankToleran
             for h in horizons]
 
 
-def contemporaneous_ir(a0, tol: RankTolerance = DEFAULT_TOL) -> np.ndarray:
-    """Impact responses (A0^{-1})': entry (i, j) is the response of variable i
-    to structural shock j on impact."""
-    a0 = as_matrix(a0, "A0")
-    if a0.shape[0] != a0.shape[1]:
-        raise ValueError("A0 must be square")
-    return _impulse_responses(a0[None], None, [0], 0, tol)[0][0]
-
-
 def ir_horizon(s: StructuralParams, h: int, tol: RankTolerance = DEFAULT_TOL) -> np.ndarray:
     """Structural impulse responses at horizon h.
 

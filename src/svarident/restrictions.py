@@ -320,11 +320,6 @@ def _assemble_stack(a0: np.ndarray, aplus: np.ndarray, blocks, p: int, tol: Rank
     ], axis=1)
 
 
-def block_value(s: StructuralParams, block: BlockId, tol: RankTolerance = DEFAULT_TOL) -> np.ndarray:
-    """The n x n matrix a block's pattern applies to, at structural point s."""
-    return _assemble_stack(s.A0[None], s.Aplus[None], [block], s.dims.p, tol)[0]
-
-
 def assemble_f(s: StructuralParams, spec: RestrictionSpec, tol: RankTolerance = DEFAULT_TOL) -> np.ndarray:
     """Stack every block's matrix value vertically, in declared order (k x n)."""
     return _assemble_stack(s.A0[None], s.Aplus[None], [b for b, _ in spec.blocks], s.dims.p, tol)[0]

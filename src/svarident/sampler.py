@@ -24,10 +24,10 @@ class SamplerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.diag_floor <= 0.0:
-            raise ValueError("diag_floor must be positive")
-        if self.scale <= 0.0:
-            raise ValueError("scale must be positive")
+        for name in ("diag_floor", "scale"):
+            value = getattr(self, name)
+            if not 0.0 < value < np.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
 def stream_key(seed: int, index: int) -> int:

@@ -265,9 +265,9 @@ def test_cross_check_shown_when_f_is_large(tmp_path, capsys):
 
 
 def test_each_point_is_walked_once(monkeypatch, capsys):
-    # check takes its cross-check's restricted point from the walk of its
-    # first draw, picking with pick seed 0 as restricted_point does; the API
-    # check walks without picking
+    # every check, from the CLI or the API, takes its cross-check's
+    # restricted point from the walk of its first draw, picking with pick
+    # seed 0 as restricted_point does; explain reads the same check
     walks = []
 
     def counting(a0, aplus, f, c, tol, pick_rng=None):
@@ -278,14 +278,16 @@ def test_each_point_is_walked_once(monkeypatch, capsys):
     seed0 = np.random.default_rng(0).bit_generator.state["state"]
     monkeypatch.setattr(identify, "_build_columns", counting)
     for spec in (CEX, REC3):
-        for command, walked in (("check", [(7, seed0)]), ("explain", [(7, None)]),
+        for command, walked in (("check", [(7, seed0)]), ("explain", [(7, seed0)]),
                                 ("rotate", [(1, seed0)])):
             walks.clear()
             main([command, "--spec", spec, "--draws", "7", "--format", "json"])
             assert walks == walked, (spec, command)
         walks.clear()
-        check_exact_identification(parse_spec(Path(spec).read_text()), draws=7)
-        assert walks == [(7, None)]
+        report = check_exact_identification(parse_spec(Path(spec).read_text()), draws=7)
+        assert walks == [(7, seed0)]
+        assert sum(points for points, _ in walks) == len(report.draws) == 7
+        assert report.theorem6 is not None
     capsys.readouterr()
 
 

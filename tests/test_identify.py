@@ -302,6 +302,7 @@ def test_check_count_failure_consumes_no_draws():
     report = check_exact_identification(parse_spec(OVERCOUNTED), draws=10, seed=0)
     assert report.verdict is Verdict.NOT_IDENTIFIED_COUNT_FAILURE
     assert report.draws == ()
+    assert report.theorem6 is None
     assert report.q == (4, 0, 0)
     assert report.total_restrictions == 4
 
@@ -366,6 +367,27 @@ def test_report_explains_its_first_failing_draw():
         r = draw_reduced_form(SamplerConfig(dims=spec.dims, seed=17), first)
         explained = redundancy_explanation(r, compile_spec(spec), spec)
         assert explained and report.implicated == explained, entry.name
+
+
+def _cross_check(r, c, spec):
+    """theorem6_check at restricted_point(r) with pick seed 0, or None where
+    that point fails the restricted-point test."""
+    try:
+        return theorem6_check(restricted_point(r, c, spec, pick_seed=0), c, spec)
+    except UnrestrictedPointError:
+        return None
+
+
+def test_report_carries_the_cross_check_of_draw_0():
+    for entry in corpus():
+        spec = parse_spec(entry.text)
+        c = compile_spec(spec)
+        for seed in (0, 9, 40):
+            report = check_exact_identification(spec, seed=seed)
+            r0 = draw_reduced_form(SamplerConfig(dims=spec.dims, seed=seed), 0)
+            assert report.theorem6 == _cross_check(r0, c, spec), (entry.name, seed)
+        r = _eye_point(spec.dims.n, spec.dims.p)
+        assert check_at_point(spec, r).theorem6 == _cross_check(r, c, spec), entry.name
 
 
 def test_from_matrices_drops_interleaved_zero_rows():

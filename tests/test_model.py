@@ -13,7 +13,6 @@ from svarident.model import (
     ReducedFormParams,
     StructuralParams,
     baseline_structural,
-    contemporaneous_ir,
     ir_horizon,
     to_reduced_form,
 )
@@ -147,16 +146,16 @@ def test_baseline_impact_equals_cholesky_factor():
         sigma = a @ a.T + n * np.eye(n)
         r = ReducedFormParams(ModelDims(n, 0), np.zeros((1, n)), sigma)
         s = baseline_structural(r)
-        ir0 = contemporaneous_ir(s.A0)
+        ir0 = ir_horizon(s, 0)
         low = np.linalg.cholesky(sigma)
         assert_allclose(ir0, low, rtol=0, atol=1e-10)
 
 
-def test_contemporaneous_ir_guards():
-    with pytest.raises(ValueError):
-        contemporaneous_ir(np.zeros((2, 3)))
-    with pytest.raises(SingularA0Error):
-        contemporaneous_ir(np.zeros((2, 2)))
+def test_ir_horizon_rejects_singular_a0():
+    s = StructuralParams(ModelDims(2, 1), np.zeros((2, 2)), np.ones((3, 2)))
+    for h in (0, 1):
+        with pytest.raises(SingularA0Error):
+            ir_horizon(s, h)
 
 
 def test_ir_horizon_against_recursion_oracle():
@@ -167,7 +166,7 @@ def test_ir_horizon_against_recursion_oracle():
             s = _random_structural(rng, n, p)
             b = to_reduced_form(s).B
             psis = ma_coefficients_oracle(b, n, p, 6)
-            ir0 = contemporaneous_ir(s.A0)
+            ir0 = ir_horizon(s, 0)
             for h in range(7):
                 assert_allclose(
                     ir_horizon(s, h), psis[h] @ ir0, rtol=1e-8, atol=1e-8
@@ -177,7 +176,7 @@ def test_ir_horizon_against_recursion_oracle():
 def test_ir_horizon_static_model():
     rng = np.random.default_rng(29)
     s = _random_structural(rng, 3, 0)
-    assert_allclose(ir_horizon(s, 0), contemporaneous_ir(s.A0), rtol=0, atol=1e-12)
+    assert_allclose(ir_horizon(s, 0), np.linalg.inv(s.A0).T, rtol=0, atol=1e-12)
     for h in (1, 2, 5):
         assert np.array_equal(ir_horizon(s, h), np.zeros((3, 3)))
     with pytest.raises(ValueError):

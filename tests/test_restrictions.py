@@ -18,7 +18,6 @@ from svarident.restrictions import (
     BlockId,
     CompiledRestrictions,
     assemble_f,
-    block_value,
     compile_spec,
     parse_spec,
     restriction_residual,
@@ -165,16 +164,16 @@ def test_assemble_f_declared_order():
     assert np.array_equal(f[2:4], np.asarray(s.A0))
     assert np.array_equal(f[4:6], np.asarray(s.Aplus[2:4, :]))
 
-
-def test_block_value_lag_slices():
-    dims = ModelDims(2, 2)
+    # each block's value on its own, at A0 = I
     aplus = np.arange(10, dtype=float).reshape(5, 2)
-    s = StructuralParams(dims, np.eye(2), aplus)
-    assert np.array_equal(block_value(s, BlockId("LAG", 1)), aplus[0:2])
-    assert np.array_equal(block_value(s, BlockId("LAG", 2)), aplus[2:4])
-    assert np.array_equal(block_value(s, BlockId("A0")), np.eye(2))
+    s = StructuralParams(ModelDims(2, 2), np.eye(2), aplus)
+    f = assemble_f(s, parse_spec(spec_text_from_cells(2, 2, {"LAG1": set(), "LAG2": set(),
+                                                              "A0": set(), "IR1": set()})))
+    assert np.array_equal(f[0:2], aplus[0:2])
+    assert np.array_equal(f[2:4], aplus[2:4])
+    assert np.array_equal(f[4:6], np.eye(2))
     # IR1 = Psi_1 IR0 with IR0 = I here
-    assert_allclose(block_value(s, BlockId("IR", 1)), aplus[0:2].T, rtol=0, atol=1e-12)
+    assert_allclose(f[6:8], aplus[0:2].T, rtol=0, atol=1e-12)
 
 
 def test_lag_block_out_of_range_rejected():

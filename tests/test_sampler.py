@@ -17,6 +17,15 @@ def test_config_validation():
         SamplerConfig(dims=dims, scale=-1.0)
 
 
+@pytest.mark.parametrize("field", ["diag_floor", "scale"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_config_rejects_non_finite(field, value):
+    # refused at construction, naming the field, not later as a Sigma with
+    # non-finite entries that names no draw
+    with pytest.raises(ValueError, match=f"^{field} must be positive and finite"):
+        SamplerConfig(dims=ModelDims(3, 1), **{field: value})
+
+
 def test_stream_key_deterministic_and_distinct():
     assert stream_key(0, 0) == stream_key(0, 0)
     keys = {stream_key(42, i) for i in range(10_000)}

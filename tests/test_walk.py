@@ -7,23 +7,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from svarident.errors import InfeasibleRestrictionsError
+from svarident.errors import InfeasibleRestrictionsError, UnrestrictedPointError
 from svarident.fixtures import recursive_spec_text
 from svarident.identify import (
     OnRedundancy,
     _build_columns,
-    _check,
     _front,
     _pick,
-    _sampled,
     check_exact_identification,
     construct_rotation,
     nonredundancy_at,
     q_tilde,
     redundancy_explanation,
+    theorem6_check,
 )
 from svarident.linalg import DEFAULT_TOL, RankTolerance
-from svarident.model import baseline_structural
+from svarident.model import StructuralParams, baseline_structural
 from svarident.restrictions import assemble_f, compile_spec, parse_spec
 from svarident.sampler import SamplerConfig, _draw_stack, draw_reduced_form, stream_key
 
@@ -137,18 +136,22 @@ def test_first_point_picks_but_keeps_its_aborting_record():
         spec = parse_spec(entry.text)
         c = compile_spec(spec)
         cfg = SamplerConfig(dims=spec.dims, seed=31)
-        report, first = _check(spec, c, DEFAULT_TOL, *_sampled(cfg, 4, spec), np.random.default_rng(0))
-        assert report == check_exact_identification(spec, config=cfg, draws=4), entry.name
+        report = check_exact_identification(spec, config=cfg, draws=4)
         r0 = draw_reduced_form(cfg, 0)
         alone = nonredundancy_at(r0, c, spec)
         assert report.draws[0].per_column == alone.per_column, entry.name
         assert report.draws[0].passed == alone.unique
         if entry.expected == "redundant":
             assert report.implicated == redundancy_explanation(r0, c, spec), entry.name
+        # the cross-check runs at the baseline point rotated by the P that
+        # the picking walk of draw 0 builds
         picked = construct_rotation(r0, c, spec, OnRedundancy.PICK_ARBITRARY, pick_seed=0)
-        assert np.array_equal(first.rotation.P, picked.P), entry.name
-        assert first.rotation.per_column == picked.per_column
-        assert first.rotation.sign_flips == picked.sign_flips
+        s0 = baseline_structural(r0)
+        s_rot = StructuralParams(spec.dims, s0.A0 @ picked.P, s0.Aplus @ picked.P)
+        try:
+            assert report.theorem6 == theorem6_check(s_rot, c, spec), entry.name
+        except UnrestrictedPointError:
+            assert report.theorem6 is None, entry.name
 
 
 def test_restricted_pivot_sign_ignores_rounding_noise():

@@ -28,7 +28,10 @@ arguments, and svd calls, the package's calls of np.linalg.svd (the SVDs
 inside np.linalg.norm are not counted).  A count repeats exactly for a
 seed, so it shows a change in work free of timing noise.
 The timers add a few microseconds per wrapped call; the overhead line
-compares the op time with and without them.  The last line is JSON.
+compares the op time with and without them.  Untimed and timed passes
+alternate, cycle by cycle and with the same op seeds, and swap which goes
+first, so that machine drift falls on both alike; the median difference
+of an op's two times is the steadiest figure.  The last line is JSON.
 """
 
 from __future__ import annotations
@@ -94,9 +97,10 @@ class Timers:
         return timed
 
 
-def install(timers: Timers) -> None:
+def install(timers: Timers):
     """Replace each layer function, in every package module that holds it,
-    and count the calls of np.linalg.svd."""
+    and count the calls of np.linalg.svd.  Returns the function that puts
+    every replaced name back."""
     import numpy as np
 
     svd = np.linalg.svd
@@ -105,6 +109,7 @@ def install(timers: Timers) -> None:
         timers.counts["svd calls"] += 1
         return svd(*args, **kwargs)
 
+    replaced = [(np.linalg, "svd", svd)]
     np.linalg.svd = counted_svd
     mods = {name: importlib.import_module(f"svarident.{name}")
             for name in ("sampler", "model", "restrictions", "identify", "report", "cli")}
@@ -117,23 +122,28 @@ def install(timers: Timers) -> None:
             for m in mods.values():
                 for attr, value in vars(m).items():
                     if value is fn:
+                        replaced.append((m, attr, fn))
                         setattr(m, attr, timed)
 
+    def restore() -> None:
+        for holder, attr, value in replaced:
+            setattr(holder, attr, value)
+    return restore
 
-def run_ops(main, ops, seed: int, cycles: int) -> list[float]:
-    """Op times in ms; every op's exit code must be 0 or 2."""
+
+def run_cycle(main, ops, seed: int, cycle: int) -> list[float]:
+    """Op times in ms of one pass over ops; every op's exit code must be 0 or 2."""
     from workloads import op_seed
 
     times = []
-    for cycle in range(cycles):
-        for i, op in enumerate(ops):
-            out, err = io.StringIO(), io.StringIO()
-            start = time.perf_counter()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = main(op.argv(op_seed(seed, cycle, i)))
-            times.append((time.perf_counter() - start) * 1000.0)
-            if code not in (0, 2):
-                raise SystemExit(f"op {i} exited {code}: {err.getvalue().strip()}")
+    for i, op in enumerate(ops):
+        out, err = io.StringIO(), io.StringIO()
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(op.argv(op_seed(seed, cycle, i)))
+        times.append((time.perf_counter() - start) * 1000.0)
+        if code not in (0, 2):
+            raise SystemExit(f"op {i} exited {code}: {err.getvalue().strip()}")
     return times
 
 
@@ -153,11 +163,19 @@ def report_layers() -> None:
     with tempfile.TemporaryDirectory() as work:
         ops = [op for op in write_inputs(screen_small(args.seed), args.seed, Path(work))
                if op.kind == "check"]
-        run_ops(main, ops, args.seed, 1)  # warm-up
-        plain = run_ops(main, ops, args.seed, args.cycles)
+        run_cycle(main, ops, args.seed, 0)  # warm-up
         timers = Timers()
-        install(timers)
-        timed = run_ops(main, ops, args.seed, args.cycles)
+        plain, timed = [], []
+        for cycle in range(args.cycles):
+            for with_timers in ((False, True) if cycle % 2 == 0 else (True, False)):
+                if not with_timers:
+                    plain += run_cycle(main, ops, args.seed, cycle)
+                    continue
+                restore = install(timers)
+                try:
+                    timed += run_cycle(main, ops, args.seed, cycle)
+                finally:
+                    restore()
     n_ops = len(timed)
     per_op = {layer: timers.self_s.get(layer, 0.0) * 1000.0 / n_ops for layer in LAYERS}
     per_op["other"] = sum(timed) / n_ops - sum(per_op.values())
@@ -168,8 +186,11 @@ def report_layers() -> None:
     counts = {name: value / n_ops for name, value in timers.counts.items()}
     for name, value in counts.items():
         print(f"  {name:17s} {value:7.2f} per op")
+    # timed[i] and plain[i] are the same op at the same seed
+    paired = statistics.median(t - p for t, p in zip(timed, plain))
     print(f"  op mean {total:.3f} ms with timers, {statistics.fmean(plain):.3f} ms without; "
-          f"medians {statistics.median(timed):.3f} / {statistics.median(plain):.3f} ms")
+          f"medians {statistics.median(timed):.3f} / {statistics.median(plain):.3f} ms; "
+          f"median paired difference {paired:+.3f} ms")
     print(json.dumps({"src": args.src, "seed": args.seed, "ops": n_ops, "ms_per_op": per_op,
                       "counts_per_op": counts, "op_mean_ms_timed": total,
                       "op_mean_ms_plain": statistics.fmean(plain)}))
