@@ -164,6 +164,8 @@ def test_assemble_f_declared_order():
     assert np.array_equal(f[2:4], np.asarray(s.A0))
     assert np.array_equal(f[4:6], np.asarray(s.Aplus[2:4, :]))
 
+
+def test_block_value_lag_slices():
     # each block's value on its own, at A0 = I
     aplus = np.arange(10, dtype=float).reshape(5, 2)
     s = StructuralParams(ModelDims(2, 2), np.eye(2), aplus)
