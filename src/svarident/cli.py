@@ -21,11 +21,10 @@ from .errors import InfeasibleRestrictionsError, SpecError, SvarIdentError
 from .identify import (
     IdentificationReport,
     Verdict,
+    _check,
     _picked,
-    check_at_point,
     check_exact_identification,
     count_condition,
-    q_tilde,
     theorem6_check,
 )
 from .linalg import DEFAULT_TOL, RankTolerance
@@ -115,19 +114,21 @@ def _explicit_point(args, dims: ModelDims) -> ReducedFormParams:
     return ReducedFormParams(dims, b, sigma)
 
 
-def _report(args) -> IdentificationReport:
+def _report(args, cross_check: bool) -> IdentificationReport:
     """The check of the document: at the --sigma/--b point when either file
-    is given, else over --draws sampled draws."""
+    is given (check_at_point), else over --draws sampled draws
+    (check_exact_identification); without the rank cross-check for explain,
+    which does not print it."""
     tol = _tolerance(args)
     spec = _load_spec(args)
-    if args.sigma is not None or args.b is not None:
-        return check_at_point(spec, _explicit_point(args, spec.dims), tol)
-    return check_exact_identification(spec, draws=args.draws, seed=args.seed, tol=tol)
+    r = _explicit_point(args, spec.dims) if args.sigma is not None or args.b is not None else None
+    cfg = SamplerConfig(dims=spec.dims, seed=args.seed)
+    return _check(spec, tol, r, cfg, args.draws, cross_check)
 
 
 def _cmd_check(args) -> int:
     try:
-        report = _report(args)
+        report = _report(args, cross_check=True)
     except (OSError, ValueError, SvarIdentError) as exc:
         return _fail(str(exc))
     if args.format == "json":
@@ -141,7 +142,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_explain(args) -> int:
     try:
-        report = _report(args)
+        report = _report(args, cross_check=False)
     except (OSError, ValueError, SvarIdentError) as exc:
         return _fail(str(exc))
     verdict = report.verdict
@@ -240,12 +241,12 @@ def _cmd_demo(args) -> int:
 
     p1 = rot.P[:, c.permutation[0]]
     out.write("\nQtilde_1 (rows of f restricted in column 1):\n")
-    out.write(format_matrix(q_tilde(1, c, f_val, [])) + "\n")
+    out.write(format_matrix(c.Q[0] @ f_val) + "\n")
     out.write(f"rank {first.rank} (required {first.required_rank}) -> unique up to sign; ")
     out.write(f"p1 = {format_vector(p1)}\n")
 
     out.write("\nQtilde_2 (restricted rows for column 2, then p1'):\n")
-    out.write(format_matrix(q_tilde(2, c, f_val, [p1])) + "\n")
+    out.write(format_matrix(np.vstack([c.Q[1] @ f_val, p1])) + "\n")
     out.write(
         f"rank {second.rank} (required {second.required_rank}) -> {second.status_label}: "
         "the impact restriction is implied by the A0 zeros\n"

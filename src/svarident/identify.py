@@ -79,7 +79,7 @@ class ColumnDiagnostic:
     def status_label(self) -> str:
         if self.status is ColumnStatus.REDUNDANT:
             return f"Redundant({self.null_dim})"
-        return self.status.value
+        return self.status._value_  # Enum.value's descriptor costs more than the label
 
 
 @dataclass(frozen=True)
@@ -176,22 +176,6 @@ def count_condition(c: CompiledRestrictions) -> CountCondition:
     n = c.dims.n
     per = tuple(c.q[t] == n - 1 - t for t in range(n))
     return CountCondition(per, all(per))
-
-
-def q_tilde(j: int, c: CompiledRestrictions, f_val, prior) -> np.ndarray:
-    """Stacked rank-test matrix for permuted column j (1-based).
-
-    Rows are the column's restriction rows applied to f followed by the
-    transposed columns determined at earlier steps.  With the counting
-    condition in force this is an (n-1) x n matrix whose rank decides
-    whether column j is pinned down uniquely.
-    """
-    if not 1 <= j <= c.dims.n:
-        raise ValueError(f"column index must be 1..{c.dims.n}")
-    f_val = np.asarray(f_val, dtype=float)
-    parts = [c.Q[j - 1] @ f_val]
-    parts.extend(np.asarray(p, dtype=float).reshape(1, -1) for p in prior)
-    return np.vstack(parts)
 
 
 def sign_normalize(p, j: int, a0) -> tuple[np.ndarray, int]:
@@ -306,27 +290,29 @@ def _build_columns(a0: np.ndarray, aplus: np.ndarray, f: np.ndarray, c: Compiled
         ranks = t + np.count_nonzero(svals > cutoff, axis=1)
         # the null vector and the next basis, in the coordinates of N
         local, nxt = vh[:, -1], vh[:, :-1]
-        for a, i in enumerate(idx):
-            rank = int(ranks[a])
-            status = (ColumnStatus.INFEASIBLE if rank >= n else ColumnStatus.UNIQUE
-                      if rank == n - 1 else ColumnStatus.REDUNDANT)
+        points = idx.tolist()
+        for i, rank, sv in zip(points, ranks.tolist(), svals.tolist()):
+            status = (ColumnStatus.UNIQUE if rank == n - 1 else ColumnStatus.INFEASIBLE
+                      if rank >= n else ColumnStatus.REDUNDANT)
             diags[i].append(ColumnDiagnostic(t + 1, orig + 1, rows, rank, n - 1, status,
-                                             n - rank, tuple(svals[a].tolist())))
-            if status is ColumnStatus.INFEASIBLE:
-                err = InfeasibleRestrictionsError(
-                    f"restrictions on column {orig + 1} admit no unit vector "
-                    f"(rank {rank} = n at processing step {t + 1})"
-                )
-                err.diagnostics = tuple(diags[i])
-                raise err
-            if status is ColumnStatus.REDUNDANT and ends[i] is None:
-                ends[i] = basis[a]
-            if status is ColumnStatus.REDUNDANT and i == 0 and pick_rng is not None:
-                local[a] = basis[a].T @ _pick(pick_rng, vh[a, rank - t:] @ basis[a].T)
-                nxt[a] = np.linalg.svd(local[a][None, :])[2][1:]
+                                             n - rank, tuple(sv)))
         keep = ranks == n - 1  # a rank-deficient point stops, unless it picks
-        keep[0] |= pick_rng is not None
         if not keep.all():
+            for a in np.flatnonzero(~keep).tolist():  # lowest index first
+                i, rank = points[a], int(ranks[a])
+                if rank >= n:
+                    err = InfeasibleRestrictionsError(
+                        f"restrictions on column {orig + 1} admit no unit vector "
+                        f"(rank {rank} = n at processing step {t + 1})"
+                    )
+                    err.diagnostics = tuple(diags[i])
+                    raise err
+                if ends[i] is None:
+                    ends[i] = basis[a]
+                if i == 0 and pick_rng is not None:
+                    local[a] = basis[a].T @ _pick(pick_rng, vh[a, rank - t:] @ basis[a].T)
+                    nxt[a] = np.linalg.svd(local[a][None, :])[2][1:]
+            keep[0] |= pick_rng is not None
             idx, basis, local, nxt = idx[keep], basis[keep], local[keep], nxt[keep]
             f_act, scale_act = f_act[keep], scale_act[keep]
         p_mat[idx, :, orig] = (basis @ local[:, :, None])[:, :, 0]
@@ -340,16 +326,19 @@ def _build_columns(a0: np.ndarray, aplus: np.ndarray, f: np.ndarray, c: Compiled
     pivot = np.diagonal(image, axis1=1, axis2=2)
     flips = np.where(pivot > 0, 1, -1)
     weak = np.abs(pivot) <= _SIGN_EPS * np.maximum(1.0, np.abs(image).max(axis=1))
-    weak = (weak | _pinned_pivots(c)) & p_mat.any(axis=1)
-    for i, j in zip(*np.nonzero(weak)):
-        flips[i, j] = _fallback_sign(p_mat[i, :, j])
+    # the fallback (_fallback_sign): the sign of the first entry above _SIGN_EPS
+    big = np.abs(p_mat) > _SIGN_EPS
+    first = np.take_along_axis(p_mat, big.argmax(axis=1)[:, None], 1)[:, 0]
+    weak |= _pinned_pivots(c)
+    flips[weak] = np.where(big.any(axis=1) & (first < 0), -1, 1)[weak]
     p_mat = p_mat * flips[:, None, :] + 0.0  # + 0.0 turns -0.0 into 0.0
+    ordered = flips[:, list(c.permutation)].tolist()
     walks = []
     for i in range(m):
         stopped = ends[i] is not None and (i > 0 or pick_rng is None)
-        accepted = c.permutation[:len(diags[i]) - 1 if stopped else n]
+        accepted = len(diags[i]) - 1 if stopped else n
         rotation = RotationResult(None if stopped else p_mat[i], tuple(diags[i]),
-                                  tuple(flips[i, list(accepted)].tolist()), ends[i] is None)
+                                  tuple(ordered[i][:accepted]), ends[i] is None)
         walks.append(_Walk(a0[i], aplus[i], f[i], rotation, ends[i]))
     return walks
 
@@ -463,8 +452,9 @@ def theorem6_check(
     # M_j's cutoff counts its k + j rows, the zero rows below Q_j f included,
     # on purpose: the relative cutoff grows with the row count, so dropping
     # those rows would move the rank decision at borderline restricted points.
-    ranks = [int(np.count_nonzero(svals[t] > tol.resolve((k + t + 1, n), svals[t, 0])))
-             for t in range(n)]
+    cutoffs = [tol.resolve((k + t + 1, n), top)
+               for t, top in enumerate(svals[:, 0].tolist())]
+    ranks = np.count_nonzero(svals > np.reshape(cutoffs, (n, 1)), axis=1).tolist()
     required = n * (n - 1) // 2
     count_ok = c.total == required
     rank_ok = all(r == n for r in ranks)
@@ -574,18 +564,30 @@ def _failing_draw(exc: Exception, b, sigma, spec, tol, seeds, done: int) -> Exce
     return exc
 
 
-def _check(spec: RestrictionSpec, c: CompiledRestrictions, tol: RankTolerance, seeds,
-           batches) -> IdentificationReport:
-    """Verdict over the walks at the points of `batches` (see _sampled).
+def _check(spec: RestrictionSpec, tol: RankTolerance, r: ReducedFormParams | None = None,
+           cfg: SamplerConfig | None = None, draws: int = 0,
+           cross_check: bool = True) -> IdentificationReport:
+    """Verdict at the reduced form r (its draw's seed is None), or else over
+    the first `draws` draws of cfg's stream.
 
-    Each batch is factored, assembled and walked as stacked arrays.  The
-    first point walks on past rank-deficient columns, picking with pick
-    seed 0 (see _build_columns), so that its walk also gives the restricted
-    point restricted_point gives; its record is still the aborting walk's.
-    The rank cross-check runs at that point.  A counting-condition failure
-    is decided without drawing any point.  A redundancy verdict is
-    explained from the first failing point's walk.
+    The points are factored, assembled and walked as stacked batches (see
+    _sampled).  With cross_check, the first point walks on past
+    rank-deficient columns, picking with pick seed 0 (see _build_columns),
+    so that its walk also gives the restricted point restricted_point
+    gives; its record is still the aborting walk's.  The rank cross-check
+    runs at that point.  explain, which never prints the cross-check, runs
+    without it.  A counting-condition failure is decided without drawing
+    any point.  A redundancy verdict is explained from the first point's
+    walk.
     """
+    if r is not None:
+        _require_dims(r.dims, spec)
+        seeds, batches = [None], [(r.B[None], r.Sigma[None])]
+    elif draws < 2:
+        raise ValueError("at least 2 draws are required")
+    else:
+        seeds, batches = _sampled(cfg, draws, spec)
+    c = compile_spec(spec)
     cc = count_condition(c)
     n = spec.dims.n
     records: list[DrawRecord] = []
@@ -600,7 +602,8 @@ def _check(spec: RestrictionSpec, c: CompiledRestrictions, tol: RankTolerance, s
                 front = _front(b, sigma, spec, tol)
             except _FRONT_ERRORS as exc:
                 raise _failing_draw(exc, b, sigma, spec, tol, seeds, done) from exc
-            walks = _build_columns(*front, c, tol, None if done else np.random.default_rng(0))
+            pick = np.random.default_rng(0) if cross_check and not done else None
+            walks = _build_columns(*front, c, tol, pick)
             if first is None:
                 first = walks[0]
             records += [DrawRecord(seeds[done + i], w.aborting(), w.rotation.unique)
@@ -613,6 +616,7 @@ def _check(spec: RestrictionSpec, c: CompiledRestrictions, tol: RankTolerance, s
             implicated = _implicated(first, c, tol)
         else:
             verdict = Verdict.INCONCLUSIVE_DRAW_DISAGREEMENT
+    if cc.overall and cross_check:
         # free the last batch first: the cross-check then adds its arrays to
         # first's, not to a whole batch's (at n = 40 a 1 MB higher peak)
         del b, sigma, front, walks
@@ -637,8 +641,7 @@ def check_at_point(
     The single evaluation is recorded as a draw with seed None.  Meant for
     callers bringing their own estimated (B, Sigma).
     """
-    _require_dims(r.dims, spec)
-    return _check(spec, compile_spec(spec), tol, [None], [(r.B[None], r.Sigma[None])])
+    return _check(spec, tol, r)
 
 
 def check_exact_identification(
@@ -659,7 +662,5 @@ def check_exact_identification(
     carries the rank cross-check at the restricted point of draw 0, the
     point restricted_point gives with pick seed 0.
     """
-    if draws < 2:
-        raise ValueError("at least 2 draws are required")
     cfg = config if config is not None else SamplerConfig(dims=spec.dims, seed=seed)
-    return _check(spec, compile_spec(spec), tol, *_sampled(cfg, draws, spec))
+    return _check(spec, tol, cfg=cfg, draws=draws)

@@ -8,6 +8,7 @@ numbers round-trip exactly.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -86,7 +87,62 @@ def check_report_dict(
 
 
 def render_json(payload: dict) -> str:
-    return json.dumps(payload, indent=2) + "\n"
+    """json.dumps(payload, indent=2) + "\n", byte for byte, built from the
+    pieces json uses (encode_basestring_ascii, int.__repr__, float.__repr__)
+    but without its pure-Python encoder, the only one it has for indented
+    output.  Within one call, a flat dict, whose keys and values are all
+    exactly int or str, is rendered once per indent: a check's column dicts
+    repeat across its draws.  Exact types keep a bool or a float out of that
+    memo, since True == 1 == 1.0.  What json refuses raises json's TypeError.
+    """
+    return _json(payload, "\n", {}) + "\n"
+
+
+_ENCODE = json.encoder.encode_basestring_ascii
+_FLAT = frozenset((int, str))
+
+
+def _json(o, nl: str, memo: dict) -> str:
+    """o as json.dumps(..., indent=2) writes it; nl starts the line o is on."""
+    inner = nl + "  "
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        key = None
+        if _FLAT.issuperset(map(type, o)) and _FLAT.issuperset(map(type, o.values())):
+            key = (nl, tuple(o.items()))
+            text = memo.get(key)
+            if text is not None:
+                return text
+        text = "{" + inner + ("," + inner).join(
+            [_ENCODE(_key(k)) + ": " + _json(v, inner, memo) for k, v in o.items()]) + nl + "}"
+        if key is not None:
+            memo[key] = text
+        return text
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        return "[" + inner + ("," + inner).join([_json(v, inner, memo) for v in o]) + nl + "]"
+    if isinstance(o, str):
+        return _ENCODE(o)
+    if o is None or o is True or o is False:
+        return "null" if o is None else "true" if o else "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        if math.isfinite(o):
+            return float.__repr__(o)
+        return "NaN" if o != o else "Infinity" if o > 0 else "-Infinity"
+    json.JSONEncoder().default(o)  # raises json's TypeError
+
+
+def _key(k) -> str:
+    """A dict key as json writes it, before quoting."""
+    if isinstance(k, str):
+        return k
+    if isinstance(k, (int, float)) or k is None:
+        return _json(k, "", {})
+    raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
 
 
 def _count_lines(report: IdentificationReport) -> list[str]:

@@ -187,6 +187,23 @@ def random_orthogonal(n: int, seed: int) -> np.ndarray:
     return q * d
 
 
+def q_tilde(j: int, c, f_val, prior) -> np.ndarray:
+    """Stacked rank-test matrix for permuted column j (1-based) of the
+    compiled restrictions c.
+
+    Rows are the column's restriction rows applied to f followed by the
+    transposed columns determined at earlier steps.  With the counting
+    condition in force this is an (n-1) x n matrix whose rank decides
+    whether column j is pinned down uniquely.
+    """
+    if not 1 <= j <= c.dims.n:
+        raise ValueError(f"column index must be 1..{c.dims.n}")
+    f_val = np.asarray(f_val, dtype=float)
+    parts = [c.Q[j - 1] @ f_val]
+    parts.extend(np.asarray(p, dtype=float).reshape(1, -1) for p in prior)
+    return np.vstack(parts)
+
+
 # --- scheme corpus ---------------------------------------------------------
 
 

@@ -16,7 +16,6 @@ from svarident.identify import (
     Verdict,
     check_exact_identification,
     construct_rotation,
-    q_tilde,
     restricted_point,
     sign_normalize,
     theorem6_check,
@@ -40,6 +39,7 @@ from svarident.sampler import SamplerConfig, draw_reduced_form
 from helpers import (
     corpus,
     oracle_rank,
+    q_tilde,
     random_orthogonal,
     rank_test_matrices,
     spec_text_from_cells,

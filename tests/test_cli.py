@@ -267,7 +267,8 @@ def test_cross_check_shown_when_f_is_large(tmp_path, capsys):
 def test_each_point_is_walked_once(monkeypatch, capsys):
     # every check, from the CLI or the API, takes its cross-check's
     # restricted point from the walk of its first draw, picking with pick
-    # seed 0 as restricted_point does; explain reads the same check
+    # seed 0 as restricted_point does; explain, which runs no cross-check,
+    # does not pick
     walks = []
 
     def counting(a0, aplus, f, c, tol, pick_rng=None):
@@ -278,7 +279,7 @@ def test_each_point_is_walked_once(monkeypatch, capsys):
     seed0 = np.random.default_rng(0).bit_generator.state["state"]
     monkeypatch.setattr(identify, "_build_columns", counting)
     for spec in (CEX, REC3):
-        for command, walked in (("check", [(7, seed0)]), ("explain", [(7, seed0)]),
+        for command, walked in (("check", [(7, seed0)]), ("explain", [(7, None)]),
                                 ("rotate", [(1, seed0)])):
             walks.clear()
             main([command, "--spec", spec, "--draws", "7", "--format", "json"])
@@ -289,6 +290,38 @@ def test_each_point_is_walked_once(monkeypatch, capsys):
         assert sum(points for points, _ in walks) == len(report.draws) == 7
         assert report.theorem6 is not None
     capsys.readouterr()
+
+
+def test_explain_runs_no_cross_check(monkeypatch, capsys):
+    # explain never prints the rank cross-check, so it does not run it; it
+    # still walks every draw, and names the same cells as check
+    calls, points = [], []
+    build, cross = identify._build_columns, identify.theorem6_check
+
+    def counting_build(a0, *args):
+        points.append(len(a0))
+        return build(a0, *args)
+
+    def counting_cross(*args):
+        calls.append(args)
+        return cross(*args)
+
+    monkeypatch.setattr(identify, "_build_columns", counting_build)
+    monkeypatch.setattr(identify, "theorem6_check", counting_cross)
+    for spec in (CEX, REC3):
+        for argv, walked in ((["--draws", "7"], 7), (["--draws", "23"], 23),
+                             (["--sigma", SIGMA_EYE], 1)):
+            for command, cross_checks in (("explain", 0), ("check", 1)):
+                calls.clear()
+                points.clear()
+                main([command, "--spec", spec, *argv, "--format", "json"])
+                assert len(calls) == cross_checks, (spec, argv, command)
+                assert sum(points) == walked, (spec, argv, command)
+                doc = json.loads(capsys.readouterr().out)
+                if command == "explain":
+                    implicated = doc["implicated"]
+                else:
+                    assert implicated == doc.get("implicated", []), (spec, argv)
 
 
 def test_cross_check_is_theorem6_at_the_restricted_point_of_draw_0(tmp_path, capsys):

@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose
 from svarident.errors import (
     CountConditionError,
     InfeasibleRestrictionsError,
+    SingularA0Error,
     UnrestrictedPointError,
 )
 from svarident.fixtures import COUNTEREXAMPLE, recursive_spec_text
@@ -21,13 +22,13 @@ from svarident.identify import (
     construct_rotation,
     count_condition,
     nonredundancy_at,
-    q_tilde,
     redundancy_explanation,
     restricted_point,
     sign_normalize,
     theorem6_check,
 )
-from svarident.linalg import RankTolerance
+from svarident import linalg
+from svarident.linalg import DEFAULT_TOL, RankTolerance
 from svarident.model import (
     ModelDims,
     ReducedFormParams,
@@ -47,6 +48,7 @@ from svarident.sampler import SamplerConfig, draw_reduced_form, stream_key
 from helpers import (
     corpus,
     mixed_rows_null_solver,
+    q_tilde,
     scipy_null_solver,
     spec_text_from_cells,
     svd_rank_null,
@@ -249,16 +251,16 @@ def test_theorem6_count_mismatch_reported():
     assert not t6.count_ok and not t6.passed
 
 
-def _theorem6_reference_ranks(s, c, spec):
+def _theorem6_reference_ranks(s, c, spec, tol=DEFAULT_TOL):
     # the cross-check one stack at a time: one SVD of each unpadded
     # M_t = [Q_t f; 0; unit rows], its cutoff at its own k + t + 1 rows
-    f = assemble_f(s, spec)
+    f = assemble_f(s, spec, tol)
     n = c.dims.n
     ranks = []
     for t in range(n):
         ident = np.eye(n)[list(c.permutation[:t + 1])]
         stacked = np.vstack([c.Q[t] @ f, np.zeros((c.k - c.Q[t].shape[0], n)), ident])
-        ranks.append(svd_rank_null(stacked)[0])
+        ranks.append(svd_rank_null(stacked, tol)[0])
     return tuple(ranks)
 
 
@@ -290,6 +292,36 @@ def test_theorem6_one_svd_call_keeps_each_rank():
             large_f += float(np.abs(assemble_f(s, spec)).max()) > 1e6
     assert deficient >= 3 * 7 and large_f >= 1
     assert compile_spec(parse_spec(cases[-1][1])).q == (2, 0, 0)
+
+
+def test_theorem6_cutoffs_under_every_policy(monkeypatch):
+    # each stack's rank against its own cutoff, for the relative policy with
+    # and without a value and for the absolute one, at cutoffs that fall
+    # among the singular values (every policy lowers some rank); a machine
+    # epsilon of 0.02 makes the default's row count k + t + 1 decide ranks.
+    # A point whose A0 is singular under a policy is skipped.
+    points = []
+    for entry in corpus():
+        spec = parse_spec(entry.text)
+        c = compile_spec(spec)
+        for seed in (0, 1, 2):
+            r = draw_reduced_form(SamplerConfig(dims=spec.dims, seed=seed), 0)
+            s = restricted_point(r, c, spec)
+            points.append((entry.name, s, c, spec, theorem6_check(s, c, spec).ranks))
+    monkeypatch.setattr(linalg, "_EPS", 0.02)
+    policies = [DEFAULT_TOL, RankTolerance("relative", 0.05), RankTolerance("absolute", 0.3)]
+    lowered, compared = set(), 0
+    for tol in policies:
+        for name, s, c, spec, at_machine_eps in points:
+            try:
+                ranks = theorem6_check(s, c, spec, tol).ranks
+            except SingularA0Error:
+                continue
+            assert ranks == _theorem6_reference_ranks(s, c, spec, tol), (name, tol)
+            compared += 1
+            if ranks != at_machine_eps:
+                lowered.add(tol)
+    assert lowered == set(policies) and compared >= 100
 
 
 def test_check_requires_two_draws():

@@ -17,7 +17,6 @@ from svarident.identify import (
     check_exact_identification,
     construct_rotation,
     nonredundancy_at,
-    q_tilde,
     redundancy_explanation,
     theorem6_check,
 )
@@ -26,7 +25,7 @@ from svarident.model import StructuralParams, baseline_structural
 from svarident.restrictions import assemble_f, compile_spec, parse_spec
 from svarident.sampler import SamplerConfig, _draw_stack, draw_reduced_form, stream_key
 
-from helpers import corpus, oracle_rank, random_orthogonal, spec_text_from_cells
+from helpers import corpus, oracle_rank, q_tilde, random_orthogonal, spec_text_from_cells
 
 
 @st.composite

@@ -1,10 +1,12 @@
 """Where the time of a `svar-ident check` op goes, layer by layer.
 
-    python3 tools/check_layers.py [--src PATH] [--seed N] [--cycles C]
+    python3 tools/check_layers.py [--src PATH] [--workload W] [--seed N] [--cycles C]
 
-Runs the `check` ops of the benchmark's screen-small workload in-process
-(`cli.main`, output captured) against the package under PATH/src (default:
-this checkout), with a timer around each of the package's layer functions.
+Runs the check ops of a benchmark workload in-process against the package
+under PATH/src (default: this checkout), with a timer around each of the
+package's layer functions.  W is screen-small (default: its `check` ops,
+through `cli.main`, output captured) or walk-large (its `api-check` ops,
+through `bench/ops.py`'s `run_api_check`, as the benchmark runs them).
 Unlike `bench/traced.py`, which re-does an op through each layer's public
 function, this times the op's own calls, so a walk the op no longer makes
 shows as a layer that is gone.
@@ -19,13 +21,15 @@ everything below them):
   cross-check walk  _picked: a second walk of draw 0 for the cross-check,
                     made by older trees (check now reads draw 0's walk)
   theorem6          theorem6_check
-  render            check_report_dict, check_report_text, render_json
+  render            check_report_dict, check_report_text, render_json;
+                    shown also apart: report dict, report text, json text
   parse+compile     parse_spec, compile_spec
   argparse          the CLI's argument parser
   other             the rest of the op
 Work counts per op: draws sampled and points walked, read off the calls'
-arguments, and svd calls, the package's calls of np.linalg.svd (the SVDs
-inside np.linalg.norm are not counted).  A count repeats exactly for a
+arguments (a call inside a call of the same layer is not counted again),
+and svd calls, the package's calls of np.linalg.svd (the SVDs inside
+np.linalg.norm are not counted).  A count repeats exactly for a
 seed, so it shows a change in work free of timing noise.
 The timers add a few microseconds per wrapped call; the overhead line
 compares the op time with and without them.  Untimed and timed passes
@@ -65,6 +69,9 @@ LAYERS = {
     "argparse": [("cli", "_build_parser")],
 }
 INCLUSIVE = {"theorem6", "cross-check walk"}
+# render's functions, each also shown on its own line
+RENDER_PARTS = {"check_report_dict": "report dict", "check_report_text": "report text",
+                "render_json": "json text"}
 # work counts: draws sampled and points walked, read off the call's arguments
 COUNTED = {("sampler", "draw_reduced_form"): ("draws sampled", lambda a: 1),
            ("sampler", "_draw_stack"): ("draws sampled", lambda a: len(a[1])),
@@ -74,12 +81,15 @@ COUNTED = {("sampler", "draw_reduced_form"): ("draws sampled", lambda a: 1),
 class Timers:
     def __init__(self):
         self.self_s: dict[str, float] = {}
+        self.part_s: dict[str, float] = {}  # render's time, by RENDER_PARTS label
         self.counts = {"draws sampled": 0, "points walked": 0, "svd calls": 0}
         self.stack: list[list] = []  # [layer, child seconds]
 
     def wrap(self, layer, fn, counter):
+        part = RENDER_PARTS.get(fn.__name__) if layer == "render" else None
+
         def timed(*args, **kwargs):
-            if counter:
+            if counter and not (self.stack and self.stack[-1][0] == layer):
                 name, count = counter
                 self.counts[name] += count(args)
             if self.stack and self.stack[-1][0] in INCLUSIVE:
@@ -92,6 +102,8 @@ class Timers:
                 spent = time.perf_counter() - start
                 _, children = self.stack.pop()
                 self.self_s[layer] = self.self_s.get(layer, 0.0) + spent - children
+                if part:
+                    self.part_s[part] = self.part_s.get(part, 0.0) + spent - children
                 if self.stack:
                     self.stack[-1][1] += spent
         return timed
@@ -113,13 +125,14 @@ def install(timers: Timers):
     np.linalg.svd = counted_svd
     mods = {name: importlib.import_module(f"svarident.{name}")
             for name in ("sampler", "model", "restrictions", "identify", "report", "cli")}
+    holders = [*mods.values(), importlib.import_module("svarident")]
     for layer, candidates in LAYERS.items():
         for mod, name in candidates:
             fn = getattr(mods[mod], name, None)
             if fn is None:
                 continue
             timed = timers.wrap(layer, fn, COUNTED.get((mod, name)))
-            for m in mods.values():
+            for m in holders:
                 for attr, value in vars(m).items():
                     if value is fn:
                         replaced.append((m, attr, fn))
@@ -131,7 +144,7 @@ def install(timers: Timers):
     return restore
 
 
-def run_cycle(main, ops, seed: int, cycle: int) -> list[float]:
+def run_cycle(run, ops, seed: int, cycle: int) -> list[float]:
     """Op times in ms of one pass over ops; every op's exit code must be 0 or 2."""
     from workloads import op_seed
 
@@ -140,49 +153,67 @@ def run_cycle(main, ops, seed: int, cycle: int) -> list[float]:
         out, err = io.StringIO(), io.StringIO()
         start = time.perf_counter()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(op.argv(op_seed(seed, cycle, i)))
+            code = run(op, op_seed(seed, cycle, i))
         times.append((time.perf_counter() - start) * 1000.0)
         if code not in (0, 2):
             raise SystemExit(f"op {i} exited {code}: {err.getvalue().strip()}")
     return times
 
 
+def workload_ops(workload: str, seed: int, work: Path):
+    """The workload's check ops, written under work, and the function that
+    runs one op at a draw seed and returns its exit code."""
+    from workloads import screen_small, walk_large, write_inputs
+
+    import svarident
+    from svarident.cli import main
+
+    if workload == "screen-small":
+        ops = [op for op in write_inputs(screen_small(seed), seed, work) if op.kind == "check"]
+        return ops, lambda op, op_seed: main(op.argv(op_seed))
+    import ops as bench_ops
+
+    ops = [op for op in write_inputs(walk_large(seed), seed, work) if op.kind == "api-check"]
+    return ops, lambda op, op_seed: bench_ops.run_api_check(svarident, op, op_seed)[0]
+
+
 def report_layers() -> None:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--src", default=str(ROOT), help="checkout whose src/ is measured")
-    ap.add_argument("--seed", type=int, default=1, help="screen-small workload seed")
+    ap.add_argument("--workload", choices=("screen-small", "walk-large"), default="screen-small")
+    ap.add_argument("--seed", type=int, default=1, help="workload seed")
     ap.add_argument("--cycles", type=int, default=5, help="passes over the check ops")
     args = ap.parse_args()
     sys.path[:0] = [str(Path(args.src) / "src"), str(ROOT / "bench")]
     import tempfile
 
-    from workloads import screen_small, write_inputs
-
-    from svarident.cli import main
-
     with tempfile.TemporaryDirectory() as work:
-        ops = [op for op in write_inputs(screen_small(args.seed), args.seed, Path(work))
-               if op.kind == "check"]
-        run_cycle(main, ops, args.seed, 0)  # warm-up
+        ops, run = workload_ops(args.workload, args.seed, Path(work))
+        run_cycle(run, ops, args.seed, 0)  # warm-up
         timers = Timers()
         plain, timed = [], []
         for cycle in range(args.cycles):
             for with_timers in ((False, True) if cycle % 2 == 0 else (True, False)):
                 if not with_timers:
-                    plain += run_cycle(main, ops, args.seed, cycle)
+                    plain += run_cycle(run, ops, args.seed, cycle)
                     continue
                 restore = install(timers)
                 try:
-                    timed += run_cycle(main, ops, args.seed, cycle)
+                    timed += run_cycle(run, ops, args.seed, cycle)
                 finally:
                     restore()
     n_ops = len(timed)
     per_op = {layer: timers.self_s.get(layer, 0.0) * 1000.0 / n_ops for layer in LAYERS}
     per_op["other"] = sum(timed) / n_ops - sum(per_op.values())
     total = sum(timed) / n_ops
-    print(f"{n_ops} check ops (screen-small seed {args.seed}, {args.cycles} cycles), src {args.src}")
+    parts = {part: ms * 1000.0 / n_ops for part, ms in timers.part_s.items()}
+    print(f"{n_ops} check ops ({args.workload} seed {args.seed}, {args.cycles} cycles), "
+          f"src {args.src}")
     for layer, ms in per_op.items():
         print(f"  {layer:17s} {ms:7.3f} ms/op  {100.0 * ms / total:5.1f}%")
+        if layer == "render":
+            for part, part_ms in parts.items():
+                print(f"    {part:15s} {part_ms:7.3f} ms/op  {100.0 * part_ms / total:5.1f}%")
     counts = {name: value / n_ops for name, value in timers.counts.items()}
     for name, value in counts.items():
         print(f"  {name:17s} {value:7.2f} per op")
@@ -193,7 +224,8 @@ def report_layers() -> None:
           f"median paired difference {paired:+.3f} ms")
     print(json.dumps({"src": args.src, "seed": args.seed, "ops": n_ops, "ms_per_op": per_op,
                       "counts_per_op": counts, "op_mean_ms_timed": total,
-                      "op_mean_ms_plain": statistics.fmean(plain)}))
+                      "op_mean_ms_plain": statistics.fmean(plain),
+                      "workload": args.workload, "render_ms_per_op": parts}))
 
 
 if __name__ == "__main__":
