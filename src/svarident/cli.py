@@ -107,7 +107,10 @@ def _load_matrix(path: str, shape: tuple[int, int], name: str) -> np.ndarray:
     return arr
 
 
-def _explicit_point(args, dims: ModelDims) -> ReducedFormParams:
+def _explicit_point(args, dims: ModelDims) -> ReducedFormParams | None:
+    """The --sigma/--b point (Sigma = I or B = 0 for a file not given); None without either."""
+    if args.sigma is None and args.b is None:
+        return None
     n, m = dims.n, dims.m
     sigma = _load_matrix(args.sigma, (n, n), "Sigma") if args.sigma else np.eye(n)
     b = _load_matrix(args.b, (m, n), "B") if args.b else np.zeros((m, n))
@@ -121,7 +124,7 @@ def _report(args, cross_check: bool) -> IdentificationReport:
     which does not print it."""
     tol = _tolerance(args)
     spec = _load_spec(args)
-    r = _explicit_point(args, spec.dims) if args.sigma is not None or args.b is not None else None
+    r = _explicit_point(args, spec.dims)
     cfg = SamplerConfig(dims=spec.dims, seed=args.seed)
     return _check(spec, tol, r, cfg, args.draws, cross_check)
 
@@ -180,10 +183,9 @@ def _cmd_rotate(args) -> int:
     try:
         tol = _tolerance(args)
         spec = _load_spec(args)
-        if args.sigma is not None or args.b is not None:
-            r = _explicit_point(args, spec.dims)
-            source = "files"
-        else:
+        r = _explicit_point(args, spec.dims)
+        source = "files"
+        if r is None:
             r = draw_reduced_form(SamplerConfig(dims=spec.dims, seed=args.seed), 0)
             source = f"sampled (seed {args.seed}, draw 0)"
     except (OSError, ValueError, SvarIdentError) as exc:

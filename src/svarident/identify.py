@@ -178,6 +178,16 @@ def count_condition(c: CompiledRestrictions) -> CountCondition:
     return CountCondition(per, all(per))
 
 
+def _require_count(c: CompiledRestrictions) -> None:
+    """Refuse c unless the counting condition holds, naming the failing permuted columns and q."""
+    cc = count_condition(c)
+    if not cc.overall:
+        bad = [t + 1 for t, ok in enumerate(cc.per_column) if not ok]
+        raise CountConditionError(
+            f"counting condition fails at permuted column(s) {bad}; q = {tuple(c.q)}"
+        )
+
+
 def sign_normalize(p, j: int, a0) -> tuple[np.ndarray, int]:
     """Flip p so that entry j (1-based) of A0 p is positive.
 
@@ -375,13 +385,7 @@ def nonredundancy_at(
     point for r and walks the permuted columns, recording rank diagnostics.
     A Redundant column ends the walk immediately (P is None).
     """
-    cc = count_condition(c)
-    if not cc.overall:
-        bad = [t + 1 for t, ok in enumerate(cc.per_column) if not ok]
-        raise CountConditionError(
-            f"counting condition fails at permuted column(s) {bad}; "
-            f"q = {tuple(c.q)}"
-        )
+    _require_count(c)
     return _walk_at(r, c, spec, tol).rotation
 
 
@@ -510,8 +514,7 @@ def redundancy_explanation(
     """
     if c.rows is None:
         return ()
-    if not count_condition(c).overall:
-        raise CountConditionError("redundancy explanation requires the counting condition")
+    _require_count(c)
     return _implicated(_walk_at(r, c, spec, tol), c, tol)
 
 

@@ -24,8 +24,10 @@ from .errors import (
 from .linalg import DEFAULT_TOL, RankTolerance, as_matrix, numerical_rank
 from .model import ModelDims, StructuralParams, _impulse_responses
 
-_BLOCK_RE = re.compile(r"^(A0|LAG([0-9]+)|IR([0-9]+))$")
+_BLOCK_RE = re.compile(r"A0|(LAG|IR)([0-9]+)")
 _ASSIGN_RE = re.compile(r"^(n|p)\s*=\s*(\S+)$")
+# the least value of each dimension, and the message that refuses a lower one
+_FLOORS = {"n": (1, "n must be at least 1"), "p": (0, "p must be nonnegative")}
 
 
 @dataclass(frozen=True)
@@ -48,15 +50,16 @@ class BlockId:
         return "A0" if self.kind == "A0" else f"{self.kind}{self.index}"
 
 
-def _parse_block_name(token: str) -> BlockId | None:
-    m = _BLOCK_RE.match(token)
-    if not m:
-        return None
-    if m.group(2) is not None:
-        return BlockId("LAG", int(m.group(2)))
-    if m.group(3) is not None:
-        return BlockId("IR", int(m.group(3)))
-    return BlockId("A0")
+def _admit_block(kind: str, index: int, p: int, earlier, line: int | None = None) -> BlockId:
+    """The block (kind, index) declared after the (BlockId, mask) pairs of
+    earlier, held to the rules of every block list: a lag lies in
+    LAG1..LAGp, and no block is declared twice.  line locates the header."""
+    if kind == "LAG" and not 1 <= index <= p:
+        raise UnknownBlockError(f"LAG{index} is outside LAG1..LAG{p}", line=line)
+    block = BlockId(kind, index)
+    if block.label in [b.label for b, _ in earlier]:
+        raise DuplicateBlockError(f"block {block.label} declared twice", line=line)
+    return block
 
 
 @dataclass(frozen=True)
@@ -72,21 +75,15 @@ class RestrictionSpec:
     def __post_init__(self):
         if not self.blocks:
             raise ValueError("at least one block is required")
-        n, p = self.dims.n, self.dims.p
-        seen = set()
+        n = self.dims.n
         frozen = []
         for block, mask in self.blocks:
-            if block.kind == "LAG" and block.index > p:
-                raise UnknownBlockError(f"{block.label} exceeds lag order p = {p}")
-            if block.label in seen:
-                raise DuplicateBlockError(f"block {block.label} declared twice")
-            seen.add(block.label)
-            arr = np.asarray(mask, dtype=bool)
+            _admit_block(block.kind, block.index, self.dims.p, frozen)
+            arr = np.array(mask, dtype=bool)
             if arr.shape != (n, n):
                 raise DimensionMismatchError(
                     f"block {block.label} mask must be {n}x{n}, got {arr.shape}"
                 )
-            arr = arr.copy()
             arr.setflags(write=False)
             frozen.append((block, arr))
         object.__setattr__(self, "blocks", tuple(frozen))
@@ -96,113 +93,84 @@ class RestrictionSpec:
         return self.dims.n * len(self.blocks)
 
 
+def _check_closed(blocks, rows, dims: dict, line: int) -> None:
+    """A header, an `n =`/`p =` line or the end of the text closes the open
+    block: its row list, rows (None when no block is open), must hold n rows."""
+    if rows is not None:
+        raise DimensionMismatchError(
+            f"block {blocks[-1][0].label} has {len(rows)} pattern rows, expected {dims['n']}",
+            line=line,
+        )
+
+
 def parse_spec(text: str) -> RestrictionSpec:
     """Parse a restriction document, reporting 1-based line/column on errors."""
-    n = p = None
-    blocks: list[tuple[BlockId, np.ndarray]] = []
-    seen: set[str] = set()
-    pending: BlockId | None = None  # block whose pattern rows are being read
-    rows: list[list[bool]] = []
-
-    def finish_block(line_no: int) -> None:
-        nonlocal pending, rows
-        if pending is None:
-            return
-        if len(rows) != n:
-            raise DimensionMismatchError(
-                f"block {pending.label} has {len(rows)} pattern rows, expected {n}",
-                line=line_no,
-            )
-        blocks.append((pending, np.array(rows, dtype=bool)))
-        pending, rows = None, []
-
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0]
-        if not line.strip():
-            continue
+    dims: dict[str, int] = {}
+    blocks: list[tuple[BlockId, list[list[bool]]]] = []
+    rows = None  # the row list of the block still open
+    lines = text.splitlines()
+    for line_no, raw in enumerate(lines, start=1):
+        line = raw.partition("#")[0]
         stripped = line.strip()
-
-        assign = _ASSIGN_RE.match(stripped)
+        if not stripped:
+            continue
+        assign = "=" in stripped and _ASSIGN_RE.match(stripped)
+        if not assign and not stripped.startswith("block"):
+            if rows is None:
+                raise SpecSyntaxError(f"unexpected line {stripped!r}", line=line_no)
+            row: list[bool] = []
+            for cell in line.split():
+                if cell == "0":
+                    row.append(True)
+                elif cell == "x":
+                    row.append(False)
+                else:
+                    col = line.index(cell) + 1
+                    raise SpecSyntaxError(
+                        f"cell must be '0' or 'x', got {cell!r}", line=line_no, col=col
+                    )
+            if len(row) != dims["n"]:
+                raise DimensionMismatchError(
+                    f"pattern row has {len(row)} cells, expected n = {dims['n']}", line=line_no
+                )
+            rows.append(row)
+            if len(rows) == dims["n"]:
+                rows = None
+            continue
+        parts = stripped.split()
+        if not assign and (len(parts) != 2 or parts[0] != "block"):
+            raise SpecSyntaxError(f"expected 'block <name>', got {stripped!r}", line=line_no)
+        _check_closed(blocks, rows, dims, line_no)
         if assign:
-            if pending is not None:
-                finish_block(line_no)  # raises: rows still missing
-            name, value = assign.group(1), assign.group(2)
+            name, value = assign.groups()
             try:
                 number = int(value)
             except ValueError:
                 raise SpecSyntaxError(
                     f"{name} must be an integer, got {value!r}", line=line_no
                 ) from None
-            if name == "n":
-                if n is not None:
-                    raise SpecSyntaxError("n declared twice", line=line_no)
-                if number < 1:
-                    raise SpecSyntaxError("n must be at least 1", line=line_no)
-                n = number
-            else:
-                if p is not None:
-                    raise SpecSyntaxError("p declared twice", line=line_no)
-                if number < 0:
-                    raise SpecSyntaxError("p must be nonnegative", line=line_no)
-                p = number
+            if name in dims:
+                raise SpecSyntaxError(f"{name} declared twice", line=line_no)
+            floor, message = _FLOORS[name]
+            if number < floor:
+                raise SpecSyntaxError(message, line=line_no)
+            dims[name] = number
             continue
-
-        if stripped.startswith("block"):
-            parts = stripped.split()
-            if len(parts) != 2 or parts[0] != "block":
-                raise SpecSyntaxError(
-                    f"expected 'block <name>', got {stripped!r}", line=line_no
-                )
-            finish_block(line_no)
-            if n is None or p is None:
-                raise SpecSyntaxError(
-                    "n and p must be declared before the first block", line=line_no
-                )
-            block = _parse_block_name(parts[1])
-            if block is None:
-                raise UnknownBlockError(f"unknown block name {parts[1]!r}", line=line_no)
-            if block.kind == "LAG" and not 1 <= block.index <= p:
-                raise UnknownBlockError(
-                    f"{block.label} is outside LAG1..LAG{p}", line=line_no
-                )
-            if block.label in seen:
-                raise DuplicateBlockError(
-                    f"block {block.label} declared twice", line=line_no
-                )
-            seen.add(block.label)
-            pending = block
-            continue
-
-        if pending is None:
-            raise SpecSyntaxError(f"unexpected line {stripped!r}", line=line_no)
-
-        cells = line.split()
-        row: list[bool] = []
-        for cell in cells:
-            if cell == "0":
-                row.append(True)
-            elif cell == "x":
-                row.append(False)
-            else:
-                col = line.index(cell) + 1
-                raise SpecSyntaxError(
-                    f"cell must be '0' or 'x', got {cell!r}", line=line_no, col=col
-                )
-        if len(row) != n:
-            raise DimensionMismatchError(
-                f"pattern row has {len(row)} cells, expected n = {n}", line=line_no
-            )
-        rows.append(row)
-        if len(rows) == n:
-            finish_block(line_no)
-
-    if pending is not None:
-        finish_block(len(text.splitlines()))
-    if n is None or p is None:
+        if len(dims) < 2:
+            raise SpecSyntaxError("n and p must be declared before the first block", line=line_no)
+        match = _BLOCK_RE.fullmatch(parts[1])
+        if match is None:
+            raise UnknownBlockError(f"unknown block name {parts[1]!r}", line=line_no)
+        kind, digits = match.groups()
+        block = _admit_block(kind or "A0", int(digits or 0), dims["p"], blocks, line_no)
+        rows = []
+        blocks.append((block, rows))
+    _check_closed(blocks, rows, dims, len(lines))
+    if len(dims) < 2:
         raise SpecSyntaxError("document must declare n and p")
     if not blocks:
         raise SpecSyntaxError("document declares no blocks")
-    return RestrictionSpec(ModelDims(n, p), tuple(blocks))
+    return RestrictionSpec(ModelDims(**dims), tuple(blocks))
 
 
 @dataclass(frozen=True)
@@ -240,6 +208,22 @@ class CompiledRestrictions:
         return f"{block.label}[{stacked_row % n + 1},{original_col + 1}]"
 
     @classmethod
+    def _ordered(cls, dims: ModelDims, block_ids, Q, counts, rows=None) -> "CompiledRestrictions":
+        """The system of per-original-column Q, counts and rows, its columns
+        stably sorted so that the counts are nonincreasing."""
+        order = sorted(range(dims.n), key=lambda j: -counts[j])
+        return cls(
+            dims=dims,
+            block_ids=tuple(block_ids),
+            k=dims.n * len(block_ids),
+            Q=tuple(Q[j] for j in order),
+            q=tuple(counts[j] for j in order),
+            permutation=tuple(order),
+            total=sum(counts),
+            rows=None if rows is None else tuple(rows[j] for j in order),
+        )
+
+    @classmethod
     def from_matrices(
         cls,
         dims: ModelDims,
@@ -261,18 +245,8 @@ class CompiledRestrictions:
         for m in mats:
             if m.shape != (k, k):
                 raise ValueError(f"each Q must be {k}x{k}, got {m.shape}")
-        counts = [numerical_rank(m, tol) for m in mats]
-        order = sorted(range(dims.n), key=lambda j: -counts[j])
-        return cls(
-            dims=dims,
-            block_ids=block_ids,
-            k=k,
-            Q=tuple(mats[j][np.any(mats[j] != 0.0, axis=1)] for j in order),
-            q=tuple(counts[j] for j in order),
-            permutation=tuple(order),
-            total=sum(counts),
-            rows=None,
-        )
+        return cls._ordered(dims, block_ids, [m[np.any(m != 0.0, axis=1)] for m in mats],
+                            [numerical_rank(m, tol) for m in mats])
 
 
 def compile_spec(spec: RestrictionSpec) -> CompiledRestrictions:
@@ -282,29 +256,14 @@ def compile_spec(spec: RestrictionSpec) -> CompiledRestrictions:
     (original) column j, a q_j x k matrix.  Columns are then stably sorted
     so the restriction counts are nonincreasing.
     """
-    n = spec.dims.n
-    k = spec.k
-    row_sets: list[tuple[int, ...]] = []
-    for j in range(n):
-        sel = [
-            b * n + i
-            for b, (_, mask) in enumerate(spec.blocks)
-            for i in range(n)
-            if mask[i, j]
-        ]
-        row_sets.append(tuple(sel))
-    counts = [len(s) for s in row_sets]
-    order = sorted(range(n), key=lambda j: -counts[j])
-
-    return CompiledRestrictions(
-        dims=spec.dims,
-        block_ids=tuple(b for b, _ in spec.blocks),
-        k=k,
-        Q=tuple(np.eye(k)[list(row_sets[j])] for j in order),
-        q=tuple(counts[j] for j in order),
-        permutation=tuple(order),
-        total=sum(counts),
-        rows=tuple(row_sets[j] for j in order),
+    # row j: the zero cells of column j, stacked row b * n + i for (i, j) of block b
+    zero = np.vstack([mask for _, mask in spec.blocks]).T
+    stacked = np.arange(spec.k)
+    row_sets = [tuple(stacked[col].tolist()) for col in zero]
+    eye = np.eye(spec.k)
+    return CompiledRestrictions._ordered(
+        spec.dims, [b for b, _ in spec.blocks], [eye[list(s)] for s in row_sets],
+        [len(s) for s in row_sets], row_sets,
     )
 
 

@@ -452,10 +452,14 @@ def test_from_matrices_drops_interleaved_zero_rows():
                 assert got == want, entry.name
 
 
+# the gate of nonredundancy_at and redundancy_explanation: failing permuted columns and q
+COUNT_GATE = r"^counting condition fails at permuted column\(s\) \[1, 2\]; q = \(4, 0, 0\)$"
+
+
 def test_nonredundancy_gates_on_count():
     spec = parse_spec(OVERCOUNTED)
     c = compile_spec(spec)
-    with pytest.raises(CountConditionError):
+    with pytest.raises(CountConditionError, match=COUNT_GATE):
         nonredundancy_at(_eye_point(3), c, spec)
 
 
@@ -535,7 +539,7 @@ def test_redundancy_explanation_cases():
     spec_ok = parse_spec(recursive_spec_text(3))
     assert redundancy_explanation(r, compile_spec(spec_ok), spec_ok) == ()
 
-    with pytest.raises(CountConditionError):
+    with pytest.raises(CountConditionError, match=COUNT_GATE):
         spec_bad = parse_spec(OVERCOUNTED)
         redundancy_explanation(r, compile_spec(spec_bad), spec_bad)
 

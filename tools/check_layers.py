@@ -23,7 +23,7 @@ everything below them):
   theorem6          theorem6_check
   render            check_report_dict, check_report_text, render_json;
                     shown also apart: report dict, report text, json text
-  parse+compile     parse_spec, compile_spec
+  parse+compile     parse_spec, compile_spec; shown also apart: parse, compile
   argparse          the CLI's argument parser
   other             the rest of the op
 Work counts per op: draws sampled and points walked, read off the calls'
@@ -69,9 +69,10 @@ LAYERS = {
     "argparse": [("cli", "_build_parser")],
 }
 INCLUSIVE = {"theorem6", "cross-check walk"}
-# render's functions, each also shown on its own line
-RENDER_PARTS = {"check_report_dict": "report dict", "check_report_text": "report text",
-                "render_json": "json text"}
+# layer -> {function: label}: the layer's functions, each also shown on its own line
+PARTS = {"render": {"check_report_dict": "report dict", "check_report_text": "report text",
+                    "render_json": "json text"},
+         "parse+compile": {"parse_spec": "parse", "compile_spec": "compile"}}
 # work counts: draws sampled and points walked, read off the call's arguments
 COUNTED = {("sampler", "draw_reduced_form"): ("draws sampled", lambda a: 1),
            ("sampler", "_draw_stack"): ("draws sampled", lambda a: len(a[1])),
@@ -81,12 +82,12 @@ COUNTED = {("sampler", "draw_reduced_form"): ("draws sampled", lambda a: 1),
 class Timers:
     def __init__(self):
         self.self_s: dict[str, float] = {}
-        self.part_s: dict[str, float] = {}  # render's time, by RENDER_PARTS label
+        self.part_s: dict[str, dict[str, float]] = {}  # layer -> PARTS label -> seconds
         self.counts = {"draws sampled": 0, "points walked": 0, "svd calls": 0}
         self.stack: list[list] = []  # [layer, child seconds]
 
     def wrap(self, layer, fn, counter):
-        part = RENDER_PARTS.get(fn.__name__) if layer == "render" else None
+        part = PARTS.get(layer, {}).get(fn.__name__)
 
         def timed(*args, **kwargs):
             if counter and not (self.stack and self.stack[-1][0] == layer):
@@ -103,7 +104,8 @@ class Timers:
                 _, children = self.stack.pop()
                 self.self_s[layer] = self.self_s.get(layer, 0.0) + spent - children
                 if part:
-                    self.part_s[part] = self.part_s.get(part, 0.0) + spent - children
+                    parts = self.part_s.setdefault(layer, {})
+                    parts[part] = parts.get(part, 0.0) + spent - children
                 if self.stack:
                     self.stack[-1][1] += spent
         return timed
@@ -206,14 +208,14 @@ def report_layers() -> None:
     per_op = {layer: timers.self_s.get(layer, 0.0) * 1000.0 / n_ops for layer in LAYERS}
     per_op["other"] = sum(timed) / n_ops - sum(per_op.values())
     total = sum(timed) / n_ops
-    parts = {part: ms * 1000.0 / n_ops for part, ms in timers.part_s.items()}
+    parts = {layer: {part: s * 1000.0 / n_ops for part, s in layer_parts.items()}
+             for layer, layer_parts in timers.part_s.items()}
     print(f"{n_ops} check ops ({args.workload} seed {args.seed}, {args.cycles} cycles), "
           f"src {args.src}")
     for layer, ms in per_op.items():
         print(f"  {layer:17s} {ms:7.3f} ms/op  {100.0 * ms / total:5.1f}%")
-        if layer == "render":
-            for part, part_ms in parts.items():
-                print(f"    {part:15s} {part_ms:7.3f} ms/op  {100.0 * part_ms / total:5.1f}%")
+        for part, part_ms in parts.get(layer, {}).items():
+            print(f"    {part:15s} {part_ms:7.3f} ms/op  {100.0 * part_ms / total:5.1f}%")
     counts = {name: value / n_ops for name, value in timers.counts.items()}
     for name, value in counts.items():
         print(f"  {name:17s} {value:7.2f} per op")
@@ -225,7 +227,8 @@ def report_layers() -> None:
     print(json.dumps({"src": args.src, "seed": args.seed, "ops": n_ops, "ms_per_op": per_op,
                       "counts_per_op": counts, "op_mean_ms_timed": total,
                       "op_mean_ms_plain": statistics.fmean(plain),
-                      "workload": args.workload, "render_ms_per_op": parts}))
+                      "workload": args.workload, "render_ms_per_op": parts.get("render", {}),
+                      "parse_ms_per_op": parts.get("parse+compile", {})}))
 
 
 if __name__ == "__main__":
