@@ -108,12 +108,13 @@ def _load_matrix(path: str, shape: tuple[int, int], name: str) -> np.ndarray:
 
 
 def _explicit_point(args, dims: ModelDims) -> ReducedFormParams | None:
-    """The --sigma/--b point (Sigma = I or B = 0 for a file not given); None without either."""
+    """The --sigma/--b point (Sigma = I or B = 0 for a file not given); None
+    without either.  Every path given is read, an empty one too."""
     if args.sigma is None and args.b is None:
         return None
     n, m = dims.n, dims.m
-    sigma = _load_matrix(args.sigma, (n, n), "Sigma") if args.sigma else np.eye(n)
-    b = _load_matrix(args.b, (m, n), "B") if args.b else np.zeros((m, n))
+    sigma = np.eye(n) if args.sigma is None else _load_matrix(args.sigma, (n, n), "Sigma")
+    b = np.zeros((m, n)) if args.b is None else _load_matrix(args.b, (m, n), "B")
     return ReducedFormParams(dims, b, sigma)
 
 

@@ -57,7 +57,7 @@ class ColumnStatus(Enum):
     INFEASIBLE = "Infeasible"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ColumnDiagnostic:
     """Rank outcome for one processed column.
 
@@ -74,6 +74,21 @@ class ColumnDiagnostic:
     status: ColumnStatus
     null_dim: int
     singular_values: tuple[float, ...]
+
+    def __init__(self, j, original_column, qtilde_rows, rank, required_rank, status, null_dim,
+                 singular_values):
+        # A walk builds one per (point, column).  The generated frozen
+        # __init__ makes one object.__setattr__ call per field, which costs
+        # about three times as much as filling the instance dict directly.
+        d = self.__dict__
+        d["j"] = j
+        d["original_column"] = original_column
+        d["qtilde_rows"] = qtilde_rows
+        d["rank"] = rank
+        d["required_rank"] = required_rank
+        d["status"] = status
+        d["null_dim"] = null_dim
+        d["singular_values"] = singular_values
 
     @property
     def status_label(self) -> str:
@@ -225,13 +240,15 @@ def _pinned_pivots(c: CompiledRestrictions) -> np.ndarray:
 
 
 class _Walk(NamedTuple):
-    """One point's walk: baseline A0 and Aplus, f, rotation and, if a column
-    was rank-deficient, the orthonormal basis N of the complement of the
+    """One point's walk: baseline A0 and Aplus, f, the reference
+    max(1, ||f||_2) of its rank cutoffs, rotation and, if a column was
+    rank-deficient, the orthonormal basis N of the complement of the
     columns accepted before the first such column."""
 
     a0: np.ndarray
     aplus: np.ndarray
     f: np.ndarray
+    scale: float
     rotation: RotationResult
     basis: np.ndarray | None
 
@@ -250,10 +267,10 @@ def _projected_svd(qf: np.ndarray, basis: np.ndarray) -> tuple[np.ndarray, np.nd
     the accepted columns reaches s_i times c_i."""
     u, s, vh = np.linalg.svd(qf @ basis, full_matrices=True)
     k = s.shape[-1]
-    along = np.swapaxes(u, -1, -2)[..., :k, :] @ qf
+    along = u.swapaxes(-1, -2)[..., :k, :] @ qf
     s = s / np.sqrt(1.0 + np.maximum(np.einsum("...ij,...ij->...i", along, along) - s * s, 0.0))
-    order = np.argsort(-s, axis=-1, kind="stable")
-    if (order != np.arange(k)).any():
+    if (s[..., 1:] > s[..., :-1]).any():  # the correction took some out of order
+        order = np.argsort(-s, axis=-1, kind="stable")
         s = np.take_along_axis(s, order, -1)
         vh[..., :k, :] = np.take_along_axis(vh[..., :k, :], order[..., None], -2)
     return s, vh
@@ -277,15 +294,18 @@ def _build_columns(a0: np.ndarray, aplus: np.ndarray, f: np.ndarray, c: Compiled
     accepted so far, one SVD of the blocks Q[t] f N gives the rank t + #(s >
     cutoff) of each stack [Q[t] f; accepted'] (s from _projected_svd, cutoff
     against max(1, ||f||_2)), its null vector N v_last and the next basis
-    N V[:rank]'.  A point stops at its first rank-deficient column (P is
-    None), except that with pick_rng point 0 walks on: each of its
-    rank-deficient columns gets a random unit vector from its null space.
-    Full rank raises at once.
+    N V[:rank]'.  The last column, when it has no restriction rows (as under
+    the counting condition), is N's one remaining column, with no SVD.  A
+    point stops at its first rank-deficient column (P is None), except that
+    with pick_rng point 0 walks on: each of its rank-deficient columns gets
+    a random unit vector from its null space.  Full rank raises at once.
     """
-    scale = np.maximum(1.0, np.linalg.norm(f, 2, axis=(1, 2)))
     n, m = c.dims.n, len(f)
+    # max(1, ||f||_2), the largest singular value as np.linalg.norm(f, 2) takes it
+    scale = np.maximum(1.0, np.linalg.svd(f, compute_uv=False)[:, 0])
     idx = np.arange(m)  # the points still walking, with their f, scale and N
-    f_act, scale_act = f, scale
+    sel = slice(None)  # idx, as a slice while every point walks
+    f_act, scale_act = f, scale[:, None]
     basis = np.broadcast_to(np.eye(n), (m, n, n))
     p_mat = np.zeros((m, n, n))
     diags: list[list[ColumnDiagnostic]] = [[] for _ in range(m)]
@@ -294,10 +314,14 @@ def _build_columns(a0: np.ndarray, aplus: np.ndarray, f: np.ndarray, c: Compiled
     for t, orig in enumerate(c.permutation):
         if not idx.size:
             break
-        svals, vh = _projected_svd(c.Q[t] @ f_act, basis)
         rows = c.Q[t].shape[0] + t
-        cutoff = np.reshape(tol.resolve((rows, n), scale_act), (-1, 1))
-        ranks = t + np.count_nonzero(svals > cutoff, axis=1)
+        if t == n - 1 and rows == t:  # no restriction rows: rank n - 1 at every point
+            for i in idx.tolist():
+                diags[i].append(ColumnDiagnostic(n, orig + 1, rows, t, t, ColumnStatus.UNIQUE, 1, ()))
+            p_mat[sel, :, orig] = basis[:, :, 0]
+            break
+        svals, vh = _projected_svd(c.Q[t] @ f_act, basis)
+        ranks = t + (svals > tol.resolve((rows, n), scale_act)).sum(axis=1)
         # the null vector and the next basis, in the coordinates of N
         local, nxt = vh[:, -1], vh[:, :-1]
         points = idx.tolist()
@@ -325,8 +349,9 @@ def _build_columns(a0: np.ndarray, aplus: np.ndarray, f: np.ndarray, c: Compiled
             keep[0] |= pick_rng is not None
             idx, basis, local, nxt = idx[keep], basis[keep], local[keep], nxt[keep]
             f_act, scale_act = f_act[keep], scale_act[keep]
-        p_mat[idx, :, orig] = (basis @ local[:, :, None])[:, :, 0]
-        basis = basis @ np.swapaxes(nxt, 1, 2)
+            sel = idx if idx.size < m else slice(None)
+        p_mat[sel, :, orig] = (basis @ local[:, :, None])[:, :, 0]
+        basis = basis @ nxt.swapaxes(1, 2)
 
     # Orient each column by its largest entry (sign_flips must not depend on
     # an SVD's signs), then sign_normalize all at once.  An accepted column
@@ -344,12 +369,12 @@ def _build_columns(a0: np.ndarray, aplus: np.ndarray, f: np.ndarray, c: Compiled
     p_mat = p_mat * flips[:, None, :] + 0.0  # + 0.0 turns -0.0 into 0.0
     ordered = flips[:, list(c.permutation)].tolist()
     walks = []
-    for i in range(m):
+    for i, top in enumerate(scale.tolist()):
         stopped = ends[i] is not None and (i > 0 or pick_rng is None)
         accepted = len(diags[i]) - 1 if stopped else n
         rotation = RotationResult(None if stopped else p_mat[i], tuple(diags[i]),
                                   tuple(ordered[i][:accepted]), ends[i] is None)
-        walks.append(_Walk(a0[i], aplus[i], f[i], rotation, ends[i]))
+        walks.append(_Walk(a0[i], aplus[i], f[i], top, rotation, ends[i]))
     return walks
 
 
@@ -421,8 +446,8 @@ def theorem6_check(
 ) -> Theorem6Result:
     """Rank cross-check at a structural point satisfying the restrictions.
 
-    For each permuted column j stacks M_j = [Q_j f; 0; unit rows marking the
-    j columns processed so far] and reports the numerical ranks.  Exact
+    For each permuted column j stacks M_j = [Q_j f; unit rows marking the j
+    columns processed so far] and reports the numerical ranks.  Exact
     identification requires every rank to equal n and the restriction total
     to equal n(n-1)/2.  The point must actually satisfy the restrictions:
     at unrestricted points the rank test is vacuous, which is exactly how
@@ -430,13 +455,18 @@ def theorem6_check(
     restricted when the worst restricted entry of f is at most 1e-8 *
     max(1, max|f|), because IR blocks at long horizons make f's entries,
     and with them the roundoff in a zero restriction, large.
-
-    All n stacks go through one singular-value call, each zero-padded below
-    to k + n rows.  Zero rows leave a matrix's singular values unchanged, so
-    each rank is that of M_j alone, counted against the cutoff of its own
-    k + j rows.
     """
-    f_val = assemble_f(s_restricted, spec, tol)
+    return _theorem6(assemble_f(s_restricted, spec, tol), c, tol)
+
+
+def _theorem6(f_val: np.ndarray, c: CompiledRestrictions, tol: RankTolerance) -> Theorem6Result:
+    """theorem6_check at the point whose f is f_val.
+
+    All n stacks go through one singular-value call.  M_j keeps its q_j + j
+    rows (n of them under the counting condition), zero-padded below only
+    to the longest stack's; zero rows leave the singular values unchanged.
+    Each rank is counted against the cutoff of k + j rows all the same.
+    """
     residual = worst_violation(c, f_val)
     bound = _RESIDUAL_TOL * max(1.0, float(np.abs(f_val).max()))
     if residual > bound:
@@ -446,16 +476,19 @@ def theorem6_check(
             "(see construct_rotation)"
         )
     n, k = c.dims.n, c.k
-    stacks = np.zeros((n, k + n, n))
+    q = np.array([m.shape[0] for m in c.Q])
+    stacks = np.zeros((n, int((q + np.arange(1, n + 1)).max()), n))
     for t in range(n):
-        stacks[t, :c.Q[t].shape[0]] = c.Q[t] @ f_val
-    # unit rows for the columns handled at steps 1..j, in original
-    # coordinates; with an identity permutation this is [I_j 0]
-    stacks[:, k:] = np.tril(np.ones((n, n)))[:, :, None] * np.eye(n)[list(c.permutation)]
+        stacks[t, :q[t]] = c.Q[t] @ f_val
+    # below Q_j f, unit rows for the columns handled at steps 1..j, in
+    # original coordinates; with an identity permutation this is [I_j 0]
+    step, done = np.tril_indices(n)
+    stacks[step, q[step] + done, np.array(c.permutation)[done]] = 1.0
     svals = np.linalg.svd(as_matrix(stacks, stack=True), compute_uv=False)
-    # M_j's cutoff counts its k + j rows, the zero rows below Q_j f included,
-    # on purpose: the relative cutoff grows with the row count, so dropping
-    # those rows would move the rank decision at borderline restricted points.
+    # M_j's cutoff counts k + j rows, as if Q_j f were padded to all k rows
+    # of f, on purpose: the relative cutoff grows with the row count, so
+    # counting M_j's own rows would move the rank decision at borderline
+    # restricted points.
     cutoffs = [tol.resolve((k + t + 1, n), top)
                for t, top in enumerate(svals[:, 0].tolist())]
     ranks = np.count_nonzero(svals > np.reshape(cutoffs, (n, 1)), axis=1).tolist()
@@ -483,7 +516,7 @@ def _implicated(walk: _Walk, c: CompiledRestrictions, tol: RankTolerance) -> tup
     t = stop.j - 1
     orig = c.permutation[t]
     rows = c.Q[t] @ walk.f
-    cutoff = tol.resolve((stop.qtilde_rows, c.dims.n), max(1.0, float(np.linalg.norm(walk.f, 2))))
+    cutoff = tol.resolve((stop.qtilde_rows, c.dims.n), walk.scale)
     without = np.stack([np.delete(rows, i, axis=0) for i in range(len(rows))])
     kept = t + np.count_nonzero(_projected_svd(without, walk.basis)[0] > cutoff, axis=1)
     labels = [c.cell_label(sr, orig) for sr in c.rows[t]]
@@ -518,16 +551,12 @@ def redundancy_explanation(
     return _implicated(_walk_at(r, c, spec, tol), c, tol)
 
 
-def _rotated(walk: _Walk, dims: ModelDims) -> StructuralParams:
-    """The baseline point of a walk that built P, rotated by it: (A0 P, Aplus P)."""
-    p_mat = walk.rotation.P
-    return StructuralParams(dims, walk.a0 @ p_mat, walk.aplus @ p_mat)
-
-
 def _picked(r, c, spec, tol, pick_seed) -> tuple[_Walk, StructuralParams]:
-    """The PICK_ARBITRARY walk at r and the baseline point rotated by its P."""
+    """The PICK_ARBITRARY walk at r and the baseline point rotated by its P:
+    (A0 P, Aplus P)."""
     walk = _walk_at(r, c, spec, tol, np.random.default_rng(pick_seed))
-    return walk, _rotated(walk, r.dims)
+    p_mat = walk.rotation.P
+    return walk, StructuralParams(r.dims, walk.a0 @ p_mat, walk.aplus @ p_mat)
 
 
 def restricted_point(
@@ -578,7 +607,10 @@ def _check(spec: RestrictionSpec, tol: RankTolerance, r: ReducedFormParams | Non
     rank-deficient columns, picking with pick seed 0 (see _build_columns),
     so that its walk also gives the restricted point restricted_point
     gives; its record is still the aborting walk's.  The rank cross-check
-    runs at that point.  explain, which never prints the cross-check, runs
+    runs at that point, on F = f P of the walk itself: A0 and LAG blocks
+    are linear in (A0, Aplus), and an IR block is Psi_h (A0^{-1})', where
+    Psi_h depends on B alone, which P leaves as it is; so f(A0 P, Aplus P)
+    = f(A0, Aplus) P.  explain, which never prints the cross-check, runs
     without it.  A counting-condition failure is decided without drawing
     any point.  A redundancy verdict is explained from the first point's
     walk.
@@ -624,7 +656,7 @@ def _check(spec: RestrictionSpec, tol: RankTolerance, r: ReducedFormParams | Non
         # first's, not to a whole batch's (at n = 40 a 1 MB higher peak)
         del b, sigma, front, walks
         try:
-            theorem6 = theorem6_check(_rotated(first, spec.dims), c, spec, tol)
+            theorem6 = _theorem6(first.f @ first.rotation.P, c, tol)
         except UnrestrictedPointError:
             pass
     return IdentificationReport(

@@ -26,6 +26,8 @@ from .model import ModelDims, StructuralParams, _impulse_responses
 
 _BLOCK_RE = re.compile(r"A0|(LAG|IR)([0-9]+)")
 _ASSIGN_RE = re.compile(r"^(n|p)\s*=\s*(\S+)$")
+# the integers `n =` and `p =` take: ASCII digits, as in block names, and a sign
+_INT_RE = re.compile(r"[+-]?[0-9]+")
 # the least value of each dimension, and the message that refuses a lower one
 _FLOORS = {"n": (1, "n must be at least 1"), "p": (0, "p must be nonnegative")}
 
@@ -143,12 +145,9 @@ def parse_spec(text: str) -> RestrictionSpec:
         _check_closed(blocks, rows, dims, line_no)
         if assign:
             name, value = assign.groups()
-            try:
-                number = int(value)
-            except ValueError:
-                raise SpecSyntaxError(
-                    f"{name} must be an integer, got {value!r}", line=line_no
-                ) from None
+            if not _INT_RE.fullmatch(value):
+                raise SpecSyntaxError(f"{name} must be an integer, got {value!r}", line=line_no)
+            number = int(value)
             if name in dims:
                 raise SpecSyntaxError(f"{name} declared twice", line=line_no)
             floor, message = _FLOORS[name]

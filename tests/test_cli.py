@@ -196,6 +196,20 @@ def test_usage_errors_exit_one(capsys):
     capsys.readouterr()
 
 
+def test_empty_point_path_is_an_io_error(capsys):
+    # an empty --sigma or --b path is read like any other and names no file;
+    # it never stands for Sigma = I or B = 0
+    for command in ("check", "explain", "rotate"):
+        for argv in (["--sigma", ""], ["--b", ""], ["--sigma", SIGMA_EYE, "--b", ""],
+                     ["--sigma", "", "--b", ""]):
+            for fmt in ("text", "json"):
+                code = main([command, "--spec", REC3, *argv, "--format", fmt])
+                captured = capsys.readouterr()
+                assert (code, captured.out) == (1, ""), (command, argv, fmt)
+                assert captured.err.startswith("svar-ident: error: "), (command, argv)
+                assert "not found" in captured.err, (command, argv)
+
+
 def test_invalid_tolerance_is_a_usage_error(capsys):
     # an infinite cutoff would call every column rank 0 and report an
     # identified scheme as redundant
@@ -296,7 +310,7 @@ def test_explain_runs_no_cross_check(monkeypatch, capsys):
     # explain never prints the rank cross-check, so it does not run it; it
     # still walks every draw, and names the same cells as check
     calls, points = [], []
-    build, cross = identify._build_columns, identify.theorem6_check
+    build, cross = identify._build_columns, identify._theorem6
 
     def counting_build(a0, *args):
         points.append(len(a0))
@@ -307,7 +321,7 @@ def test_explain_runs_no_cross_check(monkeypatch, capsys):
         return cross(*args)
 
     monkeypatch.setattr(identify, "_build_columns", counting_build)
-    monkeypatch.setattr(identify, "theorem6_check", counting_cross)
+    monkeypatch.setattr(identify, "_theorem6", counting_cross)
     for spec in (CEX, REC3):
         for argv, walked in ((["--draws", "7"], 7), (["--draws", "23"], 23),
                              (["--sigma", SIGMA_EYE], 1)):

@@ -84,6 +84,10 @@ A0 = "block A0\nx x\nx x\n"
 DOCUMENT_RULES = [
     ("n = two\np = 1\n" + A0, SpecSyntaxError, 1, None, "n must be an integer, got 'two'"),
     ("n = 2\np = 1.5\n" + A0, SpecSyntaxError, 2, None, "p must be an integer, got '1.5'"),
+    # int() takes these too; a document's integers are ASCII digits only
+    ("n = 0_2\np = 1\n" + A0, SpecSyntaxError, 1, None, "n must be an integer, got '0_2'"),
+    ("n = 2\np = \uff10\n" + A0, SpecSyntaxError, 2, None, "p must be an integer, got '\uff10'"),
+    ("n = \u0662\np = 1\n" + A0, SpecSyntaxError, 1, None, "n must be an integer, got '\u0662'"),
     ("n = 2\nn = 3\np = 1\n" + A0, SpecSyntaxError, 2, None, "n declared twice"),
     (HEAD + "p = 2\n" + A0, SpecSyntaxError, 3, None, "p declared twice"),
     ("n = 0\np = 1\nblock A0\n", SpecSyntaxError, 1, None, "n must be at least 1"),

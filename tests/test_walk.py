@@ -10,32 +10,36 @@ from hypothesis import strategies as st
 from svarident.errors import InfeasibleRestrictionsError, UnrestrictedPointError
 from svarident.fixtures import recursive_spec_text
 from svarident.identify import (
+    ColumnStatus,
     OnRedundancy,
     _build_columns,
     _front,
     _pick,
+    _picked,
     check_exact_identification,
     construct_rotation,
     nonredundancy_at,
     redundancy_explanation,
+    restricted_point,
     theorem6_check,
 )
 from svarident.linalg import DEFAULT_TOL, RankTolerance
 from svarident.model import StructuralParams, baseline_structural
-from svarident.restrictions import assemble_f, compile_spec, parse_spec
+from svarident.restrictions import assemble_f, compile_spec, parse_spec, worst_violation
 from svarident.sampler import SamplerConfig, _draw_stack, draw_reduced_form, stream_key
 
 from helpers import corpus, oracle_rank, q_tilde, random_orthogonal, spec_text_from_cells
 
 
 @st.composite
-def counted_schemes(draw):
-    """A document over A0/LAG/IR blocks, n <= 6, whose columns carry
-    n - 1, n - 2, ..., 0 zeros in a random order, so the count condition
-    holds whatever the cells are."""
+def counted_schemes(draw, max_horizon: int = 3):
+    """A document over A0/LAG/IR blocks, n <= 6 and IR horizons up to
+    max_horizon, whose columns carry n - 1, n - 2, ..., 0 zeros in a random
+    order, so the count condition holds whatever the cells are."""
     n = draw(st.integers(2, 6))
     p = draw(st.integers(1, 2))
-    pool = ["A0"] + [f"LAG{lag}" for lag in range(1, p + 1)] + [f"IR{h}" for h in range(4)]
+    pool = (["A0"] + [f"LAG{lag}" for lag in range(1, p + 1)]
+            + [f"IR{h}" for h in range(max_horizon + 1)])
     labels = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3, unique=True))
     order = draw(st.permutations(range(1, n + 1)))
     cells = {label: set() for label in labels}
@@ -64,6 +68,59 @@ def test_projected_rank_equals_explicit_stack_rank(case):
     for t, d in enumerate(rot.per_column):
         prior = [rot.P[:, c.permutation[u]] for u in range(t)]
         assert d.rank == oracle_rank(q_tilde(t + 1, c, f, prior), scale), (text, t)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(counted_schemes(max_horizon=12))
+def test_cross_check_on_f_p_equals_theorem6_at_the_restricted_point(case):
+    # a check ranks its cross-check stacks on F = f P of draw 0's walk;
+    # theorem6_check assembles f again at (A0 P, Aplus P), and every block
+    # has f(A0 P, Aplus P) = f(A0, Aplus) P, IR blocks included
+    text, seed = case
+    spec = parse_spec(text)
+    c = compile_spec(spec)
+    cfg = SamplerConfig(dims=spec.dims, seed=seed)
+    report = check_exact_identification(spec, config=cfg, draws=2)
+    try:
+        expected = theorem6_check(
+            restricted_point(draw_reduced_form(cfg, 0), c, spec, pick_seed=0), c, spec)
+    except UnrestrictedPointError:
+        expected = None
+    assert report.theorem6 == expected, text
+
+
+def test_unrestricted_last_column_is_the_remaining_basis_vector():
+    # under the counting condition the last column has no restriction rows:
+    # the walk takes N's one remaining column without an SVD, and that
+    # column is still Unique and completes an orthonormal, restricted P.
+    # q = (2, 0, 0) fails the count: its unrestricted column 2 is not the
+    # last one, so it is Redundant(2) and gets a pick
+    docs = [(e.name, e.text) for e in corpus()] + [
+        ("rec20", recursive_spec_text(20, 2)),
+        ("q200", spec_text_from_cells(3, 1, {"A0": {(2, 1), (3, 1)}}))]
+    for name, text in docs:
+        spec = parse_spec(text)
+        c = compile_spec(spec)
+        n = spec.dims.n
+        if c.q[-1]:
+            continue
+        cfg = SamplerConfig(dims=spec.dims, seed=17, diag_floor=1.0)
+        walk, s_rot = _picked(draw_reduced_form(cfg, 0), c, spec, DEFAULT_TOL, 0)
+        assert len(walk.rotation.per_column) == n, name
+        last = walk.rotation.per_column[-1]
+        assert (last.j, last.original_column, last.qtilde_rows) == (n, c.permutation[-1] + 1, n - 1)
+        assert (last.rank, last.status, last.null_dim, last.singular_values) == (
+            n - 1, ColumnStatus.UNIQUE, 1, ()), name
+        p_mat = walk.rotation.P
+        assert np.abs(p_mat.T @ p_mat - np.eye(n)).max() < 1e-12, name
+        f = assemble_f(s_rot, spec)
+        assert worst_violation(c, f) <= 1e-10 * max(1.0, np.abs(f).max()), name
+        if name == "q200":
+            assert walk.rotation.per_column[1].status_label == "Redundant(2)"
+        report = check_exact_identification(spec, config=cfg, draws=3)
+        for rec in report.draws:
+            if rec.passed:
+                assert rec.per_column[-1] == last, name
 
 
 def _batched_equals_single(spec, cfg, draws, tol=DEFAULT_TOL):

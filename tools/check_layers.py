@@ -20,7 +20,8 @@ everything below them):
   walk              _build_columns (the check's walk of its draws)
   cross-check walk  _picked: a second walk of draw 0 for the cross-check,
                     made by older trees (check now reads draw 0's walk)
-  theorem6          theorem6_check
+  theorem6          theorem6_check, and _theorem6, the rank test a check
+                    runs on F = f P of its draw 0
   render            check_report_dict, check_report_text, render_json;
                     shown also apart: report dict, report text, json text
   parse+compile     parse_spec, compile_spec; shown also apart: parse, compile
@@ -62,7 +63,7 @@ LAYERS = {
     "f": [("restrictions", "assemble_f"), ("restrictions", "_assemble_stack")],
     "walk": [("identify", "_build_columns")],
     "cross-check walk": [("identify", "_picked")],
-    "theorem6": [("identify", "theorem6_check")],
+    "theorem6": [("identify", "theorem6_check"), ("identify", "_theorem6")],
     "render": [("report", "check_report_dict"), ("report", "check_report_text"),
                ("report", "render_json")],
     "parse+compile": [("restrictions", "parse_spec"), ("restrictions", "compile_spec")],
