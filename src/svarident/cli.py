@@ -100,8 +100,12 @@ def _load_spec(args) -> RestrictionSpec:
     return parse_spec(Path(args.spec).read_text(encoding="utf-8"))
 
 
-def _load_matrix(path: str, shape: tuple[int, int], name: str) -> np.ndarray:
-    arr = np.loadtxt(path, ndmin=2, dtype=float)
+def _load_matrix(path: str, shape: tuple[int, int], name: str, option: str) -> np.ndarray:
+    try:
+        arr = np.loadtxt(path, ndmin=2, dtype=float)
+    except OSError as exc:  # numpy's own message names no option, and no file for ""
+        reason = "not found" if isinstance(exc, FileNotFoundError) else exc.strerror or exc
+        raise OSError(f"{option} file {path!r}: {reason}") from None
     if arr.shape != shape:
         raise ValueError(f"{name} in {path} must be {shape[0]}x{shape[1]}, got {arr.shape}")
     return arr
@@ -113,8 +117,8 @@ def _explicit_point(args, dims: ModelDims) -> ReducedFormParams | None:
     if args.sigma is None and args.b is None:
         return None
     n, m = dims.n, dims.m
-    sigma = np.eye(n) if args.sigma is None else _load_matrix(args.sigma, (n, n), "Sigma")
-    b = np.zeros((m, n)) if args.b is None else _load_matrix(args.b, (m, n), "B")
+    sigma = np.eye(n) if args.sigma is None else _load_matrix(args.sigma, (n, n), "Sigma", "--sigma")
+    b = np.zeros((m, n)) if args.b is None else _load_matrix(args.b, (m, n), "B", "--b")
     return ReducedFormParams(dims, b, sigma)
 
 

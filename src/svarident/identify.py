@@ -300,11 +300,9 @@ def _build_columns(a0: np.ndarray, aplus: np.ndarray, f: np.ndarray, c: Compiled
     with pick_rng point 0 walks on: each of its rank-deficient columns gets
     a random unit vector from its null space.  Full rank raises at once.
     """
+    scale = np.maximum(1.0, np.linalg.norm(f, 2, axis=(1, 2)))
     n, m = c.dims.n, len(f)
-    # max(1, ||f||_2), the largest singular value as np.linalg.norm(f, 2) takes it
-    scale = np.maximum(1.0, np.linalg.svd(f, compute_uv=False)[:, 0])
     idx = np.arange(m)  # the points still walking, with their f, scale and N
-    sel = slice(None)  # idx, as a slice while every point walks
     f_act, scale_act = f, scale[:, None]
     basis = np.broadcast_to(np.eye(n), (m, n, n))
     p_mat = np.zeros((m, n, n))
@@ -315,12 +313,10 @@ def _build_columns(a0: np.ndarray, aplus: np.ndarray, f: np.ndarray, c: Compiled
         if not idx.size:
             break
         rows = c.Q[t].shape[0] + t
-        if t == n - 1 and rows == t:  # no restriction rows: rank n - 1 at every point
-            for i in idx.tolist():
-                diags[i].append(ColumnDiagnostic(n, orig + 1, rows, t, t, ColumnStatus.UNIQUE, 1, ()))
-            p_mat[sel, :, orig] = basis[:, :, 0]
-            break
-        svals, vh = _projected_svd(c.Q[t] @ f_act, basis)
+        if t == n - 1 and rows == t:  # no restriction rows: N's one column, rank n - 1
+            svals, vh = np.zeros((idx.size, 0)), np.ones((idx.size, 1, 1))
+        else:
+            svals, vh = _projected_svd(c.Q[t] @ f_act, basis)
         ranks = t + (svals > tol.resolve((rows, n), scale_act)).sum(axis=1)
         # the null vector and the next basis, in the coordinates of N
         local, nxt = vh[:, -1], vh[:, :-1]
@@ -349,8 +345,7 @@ def _build_columns(a0: np.ndarray, aplus: np.ndarray, f: np.ndarray, c: Compiled
             keep[0] |= pick_rng is not None
             idx, basis, local, nxt = idx[keep], basis[keep], local[keep], nxt[keep]
             f_act, scale_act = f_act[keep], scale_act[keep]
-            sel = idx if idx.size < m else slice(None)
-        p_mat[sel, :, orig] = (basis @ local[:, :, None])[:, :, 0]
+        p_mat[idx, :, orig] = (basis @ local[:, :, None])[:, :, 0]
         basis = basis @ nxt.swapaxes(1, 2)
 
     # Orient each column by its largest entry (sign_flips must not depend on
@@ -455,6 +450,13 @@ def theorem6_check(
     restricted when the worst restricted entry of f is at most 1e-8 *
     max(1, max|f|), because IR blocks at long horizons make f's entries,
     and with them the roundoff in a zero restriction, large.
+
+    Each M_j keeps only its own q_j + j rows, not k + n zero-padded ones.
+    Its cutoff is that of k + j rows all the same (see _theorem6), but the
+    singular values of the shorter matrix can differ in their last bits,
+    so a rank can differ from the zero-padded form's where a singular
+    value sits at its cutoff.  check_exact_identification's cross-check
+    equals this function at restricted_point up to the same rounding.
     """
     return _theorem6(assemble_f(s_restricted, spec, tol), c, tol)
 

@@ -1,15 +1,15 @@
 """Byte-compare what the CLI prints here with what another source tree prints.
 
-    python3 tools/compare_outputs.py --base PATH [--seeds 1-8] [--draw-seeds 11,12]
-                                     [--walk-large-seeds 1-4]
+    python3 tools/compare_outputs.py --base PATH
 
 Runs `check`, `explain` and `rotate`, each with `--format text` and
 `--format json`, over specs/*.spec, the test corpus (tests/helpers.py)
-and the specs of the screen-small and cli-cold workloads (bench/) at the
-given seeds, each at every draw seed; the n = 3 documents also at the
-explicit point `--sigma specs/sigma_eye3.txt` and under an absolute
-`--tol 1e-9`.  It also renders walk-large's api-check JSON reports
-(`bench/ops.py` `run_api_check`) at the walk-large seeds.  The cases run
+and the specs of the screen-small and cli-cold workloads (bench/) at
+seeds 1-8, each at draw seeds (`--seed`) 11 and 12; the n = 3 documents
+also at the explicit point `--sigma specs/sigma_eye3.txt` and under an
+absolute `--tol 1e-9`.  It also renders walk-large's api-check JSON
+reports (`bench/ops.py` `run_api_check`) at walk-large seeds 1-4, each
+at draw seeds 11 and 12.  The cases run
 against src/ of this checkout and src/ of the tree at PATH, each tree in
 its own child process, in-process through `svarident.cli.main`.  Every
 case whose stdout, stderr or exit code differs is printed with a unified
@@ -30,18 +30,12 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+SEEDS = range(1, 9)  # screen-small and cli-cold
+DRAW_SEEDS = (11, 12)
+WALK_LARGE_SEEDS = range(1, 5)
 
 
-def _seeds(text: str) -> list[int]:
-    """"1-8" or "11,12" (or a mix) as a list of ints."""
-    out = []
-    for part in text.split(","):
-        lo, _, hi = part.partition("-")
-        out += range(int(lo), int(hi or lo) + 1)
-    return out
-
-
-def cases(args, work: Path) -> list[dict]:
+def cases(work: Path) -> list[dict]:
     """The cases, with every document they read written under work."""
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "bench")]
     from helpers import corpus
@@ -55,24 +49,24 @@ def cases(args, work: Path) -> list[dict]:
         path.write_text(entry.text, encoding="utf-8")
         docs.append(str(path))
     for workload in (screen_small, cli_cold):
-        for seed in args.seeds:
+        for seed in SEEDS:
             sub = work / f"{workload.__name__}-{seed}"
             sub.mkdir()
             docs += [op.path for op in write_inputs(workload(seed), seed, sub)]
     out = []
     for doc in docs:
-        variants = [["--seed", str(s)] for s in args.draw_seeds]
+        variants = [["--seed", str(s)] for s in DRAW_SEEDS]
         if parse_spec(Path(doc).read_text(encoding="utf-8")).dims.n == 3:
             variants += [["--sigma", str(ROOT / "specs" / "sigma_eye3.txt")], ["--tol", "1e-9"]]
         for command in ("check", "explain", "rotate"):
             for fmt in ("text", "json"):
                 out += [{"argv": [command, "--spec", doc, "--format", fmt, *v]} for v in variants]
-    for seed in args.walk_large_seeds:
+    for seed in WALK_LARGE_SEEDS:
         sub = work / f"walk_large-{seed}"
         sub.mkdir()
         for i, op in enumerate(write_inputs(walk_large(seed), seed, sub)):
             if op.kind == "api-check":
-                out += [{"walk_large": [seed, i, op.path], "seed": s} for s in args.draw_seeds]
+                out += [{"walk_large": [seed, i, op.path], "seed": s} for s in DRAW_SEEDS]
     return out
 
 
@@ -106,12 +100,6 @@ def run_cases(cases_path: str, out_path: str) -> None:
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--base", help="source tree to compare with (holds src/)")
-    ap.add_argument("--seeds", type=_seeds, default=_seeds("1-8"),
-                    help="screen-small and cli-cold seeds (default 1-8)")
-    ap.add_argument("--draw-seeds", type=_seeds, default=_seeds("11,12"),
-                    help="--seed of every sampled case (default 11,12)")
-    ap.add_argument("--walk-large-seeds", type=_seeds, default=_seeds("1-4"),
-                    help="walk-large seeds of the api-check cases (default 1-4)")
     ap.add_argument("--run", nargs=2, metavar=("CASES", "OUT"), help=argparse.SUPPRESS)
     args = ap.parse_args()
     if args.run:
@@ -122,7 +110,7 @@ def main() -> int:
     trees = {"base": Path(args.base).resolve(), "this": ROOT}
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
-        todo = cases(args, work)
+        todo = cases(work)
         cases_path = work / "cases.json"
         cases_path.write_text(json.dumps(todo), encoding="utf-8")
         children = {}
