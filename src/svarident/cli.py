@@ -19,7 +19,6 @@ import numpy as np
 from . import fixtures
 from .errors import InfeasibleRestrictionsError, SpecError, SvarIdentError
 from .identify import (
-    IdentificationReport,
     Verdict,
     _check,
     _picked,
@@ -30,7 +29,6 @@ from .identify import (
 from .linalg import DEFAULT_TOL, RankTolerance
 from .model import ModelDims, ReducedFormParams
 from .restrictions import (
-    RestrictionSpec,
     compile_spec,
     parse_spec,
     restriction_residual,
@@ -72,6 +70,8 @@ def _build_parser() -> argparse.ArgumentParser:
         ("explain", "name restriction cells implied by the others"),
     ):
         p = sub.add_parser(name, help=text)
+        if name == "demo":  # takes no options
+            continue
         p.add_argument("--spec", help="path to a restriction document")
         p.add_argument("--draws", type=int, default=5, help="number of sampled draws (default 5)")
         p.add_argument("--seed", type=int, default=0, help="base seed for sampled draws (default 0)")
@@ -81,23 +81,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tol", type=float, default=None,
                        help="absolute singular-value cutoff for rank decisions")
     return parser
-
-
-def _fail(message: str) -> int:
-    print(f"svar-ident: error: {message}", file=sys.stderr)
-    return 1
-
-
-def _tolerance(args) -> RankTolerance:
-    if args.tol is None:
-        return DEFAULT_TOL
-    return RankTolerance(policy="absolute", value=args.tol)
-
-
-def _load_spec(args) -> RestrictionSpec:
-    if not args.spec:
-        raise SpecError("--spec is required for this command")
-    return parse_spec(Path(args.spec).read_text(encoding="utf-8"))
 
 
 def _load_matrix(path: str, shape: tuple[int, int], name: str, option: str) -> np.ndarray:
@@ -122,23 +105,21 @@ def _explicit_point(args, dims: ModelDims) -> ReducedFormParams | None:
     return ReducedFormParams(dims, b, sigma)
 
 
-def _report(args, cross_check: bool) -> IdentificationReport:
-    """The check of the document: at the --sigma/--b point when either file
-    is given (check_at_point), else over --draws sampled draws
-    (check_exact_identification); without the rank cross-check for explain,
-    which does not print it."""
-    tol = _tolerance(args)
-    spec = _load_spec(args)
-    r = _explicit_point(args, spec.dims)
-    cfg = SamplerConfig(dims=spec.dims, seed=args.seed)
-    return _check(spec, tol, r, cfg, args.draws, cross_check)
+def _inputs(args) -> tuple:
+    """What check, explain and rotate read: the cutoff, the document and its
+    compiled restrictions, the --sigma/--b point (None without either: the
+    commands then use draws of --seed's stream) and the sampler of --seed."""
+    tol = DEFAULT_TOL if args.tol is None else RankTolerance(policy="absolute", value=args.tol)
+    if not args.spec:
+        raise SpecError("--spec is required for this command")
+    spec = parse_spec(Path(args.spec).read_text(encoding="utf-8"))
+    return (tol, spec, compile_spec(spec), _explicit_point(args, spec.dims),
+            SamplerConfig(dims=spec.dims, seed=args.seed))
 
 
 def _cmd_check(args) -> int:
-    try:
-        report = _report(args, cross_check=True)
-    except (OSError, ValueError, SvarIdentError) as exc:
-        return _fail(str(exc))
+    tol, _, c, r, cfg = _inputs(args)
+    report = _check(c, tol, r, cfg, args.draws)
     if args.format == "json":
         payload = check_report_dict(report, args.spec, "check", report.theorem6)
         sys.stdout.write(render_json(payload))
@@ -149,10 +130,8 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_explain(args) -> int:
-    try:
-        report = _report(args, cross_check=False)
-    except (OSError, ValueError, SvarIdentError) as exc:
-        return _fail(str(exc))
+    tol, _, c, r, cfg = _inputs(args)
+    report = _check(c, tol, r, cfg, args.draws, cross_check=False)  # it prints no cross-check
     verdict = report.verdict
     if args.format == "json":
         payload = {
@@ -185,25 +164,16 @@ def _cmd_explain(args) -> int:
 
 
 def _cmd_rotate(args) -> int:
+    tol, spec, c, r, cfg = _inputs(args)
+    source = "files"
+    if r is None:
+        r = draw_reduced_form(cfg, 0)
+        source = f"sampled (seed {args.seed}, draw 0)"
     try:
-        tol = _tolerance(args)
-        spec = _load_spec(args)
-        r = _explicit_point(args, spec.dims)
-        source = "files"
-        if r is None:
-            r = draw_reduced_form(SamplerConfig(dims=spec.dims, seed=args.seed), 0)
-            source = f"sampled (seed {args.seed}, draw 0)"
-    except (OSError, ValueError, SvarIdentError) as exc:
-        return _fail(str(exc))
-
-    c = compile_spec(spec)
-    try:
-        walk, s_rot = _picked(r, c, spec, tol, 0)
+        walk, s_rot = _picked(r, c, tol, 0)
     except InfeasibleRestrictionsError as exc:
         print(f"svar-ident: infeasible: {exc}", file=sys.stderr)
         return 2
-    except SvarIdentError as exc:
-        return _fail(str(exc))
 
     residual = restriction_residual(s_rot, c, spec, tol)
     rotated = (s_rot.A0, s_rot.Aplus)
@@ -230,7 +200,7 @@ def _cmd_demo(args) -> int:
     dims = spec.dims
     r = ReducedFormParams(dims, np.zeros((dims.m, dims.n)), np.eye(dims.n))
     # one walk gives f, the ranks, p1 and the restricted point for the cross-check
-    walk, s_rot = _picked(r, c, spec, DEFAULT_TOL, 0)
+    walk, s_rot = _picked(r, c, DEFAULT_TOL, 0)
     f_val, rot = walk.f, walk.rotation
     first, second = rot.per_column[:2]
 
@@ -284,7 +254,11 @@ def main(argv=None) -> int:
         "demo": _cmd_demo,
         "explain": _cmd_explain,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except (OSError, ValueError, SvarIdentError) as exc:  # the one place an error becomes exit 1
+        print(f"svar-ident: error: {exc}", file=sys.stderr)
+        return 1
 
 
 def entry() -> None:

@@ -22,19 +22,17 @@ import numpy as np
 from .errors import (
     CountConditionError,
     InfeasibleRestrictionsError,
-    NotPositiveDefiniteError,
-    NotSymmetricError,
-    SingularA0Error,
+    SvarIdentError,
     UnrestrictedPointError,
 )
 from .linalg import DEFAULT_TOL, RankTolerance, as_matrix
-from .model import ModelDims, ReducedFormParams, StructuralParams, _baseline_stack
+from .model import ReducedFormParams, StructuralParams, _baseline_stack
 from .restrictions import (
     BlockId,
     CompiledRestrictions,
     RestrictionSpec,
     _assemble_stack,
-    assemble_f,
+    _require_layout,
     compile_spec,
     worst_violation,
 )
@@ -47,8 +45,6 @@ _RESIDUAL_TOL = 1e-8
 # A check walks its draws in batches of _BATCH_ENTRIES // n^2, so that each
 # stacked n x n array of the walk stays near 8000 entries (64 kB).
 _BATCH_ENTRIES = 8000
-# What the stacked front end (baseline point and f) can raise at a point.
-_FRONT_ERRORS = (NotSymmetricError, NotPositiveDefiniteError, SingularA0Error)
 
 
 class ColumnStatus(Enum):
@@ -373,24 +369,24 @@ def _build_columns(a0: np.ndarray, aplus: np.ndarray, f: np.ndarray, c: Compiled
     return walks
 
 
-def _require_dims(dims: ModelDims, spec: RestrictionSpec) -> None:
-    if dims != spec.dims:
-        raise ValueError(f"reduced-form point has n = {dims.n}, p = {dims.p} but the "
-                         f"restrictions are for n = {spec.dims.n}, p = {spec.dims.p}")
-
-
-def _front(b: np.ndarray, sigma: np.ndarray, spec: RestrictionSpec,
+def _front(b: np.ndarray, sigma: np.ndarray, c: CompiledRestrictions,
            tol: RankTolerance) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Baseline A0 and Aplus, and f, of stacked reduced forms (B, Sigma)."""
+    """Baseline A0 and Aplus, and f in c's block order, of stacked reduced
+    forms (B, Sigma).  An f that overflows (a long IR horizon of an
+    explosive B) is refused, and numpy's overflow warnings are not shown."""
     a0, aplus = _baseline_stack(b, sigma)
-    return a0, aplus, _assemble_stack(a0, aplus, [blk for blk, _ in spec.blocks], spec.dims.p, tol)
+    with np.errstate(over="ignore", invalid="ignore"):
+        f = _assemble_stack(a0, aplus, c.block_ids, c.dims.p, tol)
+    if not np.isfinite(f).all():
+        raise SvarIdentError("f is not finite: an impulse-response block overflows")
+    return a0, aplus, f
 
 
-def _walk_at(r: ReducedFormParams, c: CompiledRestrictions, spec: RestrictionSpec,
-             tol: RankTolerance, pick_rng: np.random.Generator | None = None) -> _Walk:
+def _walk_at(r: ReducedFormParams, c: CompiledRestrictions, tol: RankTolerance,
+             pick_rng: np.random.Generator | None = None) -> _Walk:
     """The walk at one reduced-form point."""
-    _require_dims(r.dims, spec)
-    return _build_columns(*_front(r.B[None], r.Sigma[None], spec, tol), c, tol, pick_rng)[0]
+    _require_layout(c, r)
+    return _build_columns(*_front(r.B[None], r.Sigma[None], c, tol), c, tol, pick_rng)[0]
 
 
 def nonredundancy_at(
@@ -405,8 +401,9 @@ def nonredundancy_at(
     point for r and walks the permuted columns, recording rank diagnostics.
     A Redundant column ends the walk immediately (P is None).
     """
+    _require_layout(c, spec, "spec")
     _require_count(c)
-    return _walk_at(r, c, spec, tol).rotation
+    return _walk_at(r, c, tol).rotation
 
 
 def construct_rotation(
@@ -429,8 +426,9 @@ def construct_rotation(
     restricts A0[j, j]).  Raises InfeasibleRestrictionsError when a
     column's stack reaches full rank.
     """
+    _require_layout(c, spec, "spec")
     rng = np.random.default_rng(pick_seed) if on_redundancy is OnRedundancy.PICK_ARBITRARY else None
-    return _walk_at(r, c, spec, tol, rng).rotation
+    return _walk_at(r, c, tol, rng).rotation
 
 
 def theorem6_check(
@@ -458,7 +456,10 @@ def theorem6_check(
     value sits at its cutoff.  check_exact_identification's cross-check
     equals this function at restricted_point up to the same rounding.
     """
-    return _theorem6(assemble_f(s_restricted, spec, tol), c, tol)
+    _require_layout(c, spec, "spec")
+    _require_layout(c, s_restricted, "structural point")
+    f_val = _assemble_stack(s_restricted.A0[None], s_restricted.Aplus[None], c.block_ids, c.dims.p, tol)
+    return _theorem6(f_val[0], c, tol)
 
 
 def _theorem6(f_val: np.ndarray, c: CompiledRestrictions, tol: RankTolerance) -> Theorem6Result:
@@ -547,16 +548,17 @@ def redundancy_explanation(
     Returns () when every column is Unique or when the compiled restrictions
     lack selection structure (general Q_j have no cell names).
     """
+    _require_layout(c, spec, "spec")
     if c.rows is None:
         return ()
     _require_count(c)
-    return _implicated(_walk_at(r, c, spec, tol), c, tol)
+    return _implicated(_walk_at(r, c, tol), c, tol)
 
 
-def _picked(r, c, spec, tol, pick_seed) -> tuple[_Walk, StructuralParams]:
+def _picked(r, c, tol, pick_seed) -> tuple[_Walk, StructuralParams]:
     """The PICK_ARBITRARY walk at r and the baseline point rotated by its P:
     (A0 P, Aplus P)."""
-    walk = _walk_at(r, c, spec, tol, np.random.default_rng(pick_seed))
+    walk = _walk_at(r, c, tol, np.random.default_rng(pick_seed))
     p_mat = walk.rotation.P
     return walk, StructuralParams(r.dims, walk.a0 @ p_mat, walk.aplus @ p_mat)
 
@@ -573,32 +575,33 @@ def restricted_point(
     Rotates the baseline point by a PICK_ARBITRARY construction, so it works
     for redundant schemes too (the rotation is then one of infinitely many).
     """
-    return _picked(r, c, spec, tol, pick_seed)[1]
+    _require_layout(c, spec, "spec")
+    return _picked(r, c, tol, pick_seed)[1]
 
 
-def _sampled(cfg: SamplerConfig, draws: int, spec: RestrictionSpec) -> tuple:
+def _sampled(cfg: SamplerConfig, draws: int, c: CompiledRestrictions) -> tuple:
     """The seeds of the first draws of cfg's stream, and the draws as stacked
     (B, Sigma) batches of _BATCH_ENTRIES // n^2, drawn lazily."""
-    _require_dims(cfg.dims, spec)
+    _require_layout(c, cfg)
     seeds = [stream_key(cfg.seed, i) for i in range(draws)]
-    size = max(1, _BATCH_ENTRIES // spec.dims.n ** 2)
+    size = max(1, _BATCH_ENTRIES // c.dims.n ** 2)
     return seeds, (_draw_stack(cfg, seeds[lo:lo + size]) for lo in range(0, draws, size))
 
 
-def _failing_draw(exc: Exception, b, sigma, spec, tol, seeds, done: int) -> Exception:
+def _failing_draw(exc: Exception, b, sigma, c, tol, seeds, done: int) -> Exception:
     """The error of the lowest-index point of a batch whose front end fails,
     naming that draw and its seed; exc itself for an explicit point."""
     if seeds[done] is None:
         return exc
     for i in range(len(b)):
         try:
-            _front(b[i:i + 1], sigma[i:i + 1], spec, tol)
-        except _FRONT_ERRORS as one:
+            _front(b[i:i + 1], sigma[i:i + 1], c, tol)
+        except SvarIdentError as one:
             return type(one)(f"draw {done + i} (seed {seeds[done + i]}): {one}")
     return exc
 
 
-def _check(spec: RestrictionSpec, tol: RankTolerance, r: ReducedFormParams | None = None,
+def _check(c: CompiledRestrictions, tol: RankTolerance, r: ReducedFormParams | None = None,
            cfg: SamplerConfig | None = None, draws: int = 0,
            cross_check: bool = True) -> IdentificationReport:
     """Verdict at the reduced form r (its draw's seed is None), or else over
@@ -618,15 +621,14 @@ def _check(spec: RestrictionSpec, tol: RankTolerance, r: ReducedFormParams | Non
     walk.
     """
     if r is not None:
-        _require_dims(r.dims, spec)
+        _require_layout(c, r)
         seeds, batches = [None], [(r.B[None], r.Sigma[None])]
     elif draws < 2:
         raise ValueError("at least 2 draws are required")
     else:
-        seeds, batches = _sampled(cfg, draws, spec)
-    c = compile_spec(spec)
+        seeds, batches = _sampled(cfg, draws, c)
     cc = count_condition(c)
-    n = spec.dims.n
+    n = c.dims.n
     records: list[DrawRecord] = []
     first = None
     verdict = Verdict.NOT_IDENTIFIED_COUNT_FAILURE
@@ -636,9 +638,9 @@ def _check(spec: RestrictionSpec, tol: RankTolerance, r: ReducedFormParams | Non
         for b, sigma in batches:
             done = len(records)
             try:
-                front = _front(b, sigma, spec, tol)
-            except _FRONT_ERRORS as exc:
-                raise _failing_draw(exc, b, sigma, spec, tol, seeds, done) from exc
+                front = _front(b, sigma, c, tol)
+            except SvarIdentError as exc:
+                raise _failing_draw(exc, b, sigma, c, tol, seeds, done) from exc
             pick = np.random.default_rng(0) if cross_check and not done else None
             walks = _build_columns(*front, c, tol, pick)
             if first is None:
@@ -662,7 +664,7 @@ def _check(spec: RestrictionSpec, tol: RankTolerance, r: ReducedFormParams | Non
         except UnrestrictedPointError:
             pass
     return IdentificationReport(
-        dims_n=n, dims_p=spec.dims.p, q=c.q, permutation=c.permutation, count=cc,
+        dims_n=n, dims_p=c.dims.p, q=c.q, permutation=c.permutation, count=cc,
         total_restrictions=c.total, total_required=n * (n - 1) // 2,
         draws=tuple(records), verdict=verdict, implicated=implicated, theorem6=theorem6,
     )
@@ -678,7 +680,7 @@ def check_at_point(
     The single evaluation is recorded as a draw with seed None.  Meant for
     callers bringing their own estimated (B, Sigma).
     """
-    return _check(spec, tol, r)
+    return _check(compile_spec(spec), tol, r)
 
 
 def check_exact_identification(
@@ -700,4 +702,4 @@ def check_exact_identification(
     point restricted_point gives with pick seed 0.
     """
     cfg = config if config is not None else SamplerConfig(dims=spec.dims, seed=seed)
-    return _check(spec, tol, cfg=cfg, draws=draws)
+    return _check(compile_spec(spec), tol, cfg=cfg, draws=draws)

@@ -110,7 +110,7 @@ def parse_spec(text: str) -> RestrictionSpec:
     dims: dict[str, int] = {}
     blocks: list[tuple[BlockId, list[list[bool]]]] = []
     rows = None  # the row list of the block still open
-    lines = text.splitlines()
+    lines = text.removeprefix("\ufeff").splitlines()  # a UTF-8 byte-order mark is no line
     for line_no, raw in enumerate(lines, start=1):
         line = raw.partition("#")[0]
         stripped = line.strip()
@@ -283,6 +283,20 @@ def assemble_f(s: StructuralParams, spec: RestrictionSpec, tol: RankTolerance = 
     return _assemble_stack(s.A0[None], s.Aplus[None], [b for b, _ in spec.blocks], s.dims.p, tol)[0]
 
 
+def _require_layout(c: CompiledRestrictions, held, what: str = "reduced-form point") -> None:
+    """Refuse held, a point, a SamplerConfig or a RestrictionSpec, unless it
+    has c's n and p and, for a spec, c's blocks in c's order: f is assembled
+    in the order of c.block_ids, and c.Q indexes f so."""
+    blocks = tuple(b for b, _ in held.blocks) if isinstance(held, RestrictionSpec) else None
+    if held.dims == c.dims and blocks in (None, c.block_ids):
+        return
+    theirs, ours = (f"n = {d.n}, p = {d.p}" for d in (held.dims, c.dims))
+    if blocks is not None:
+        theirs += ", blocks " + " ".join(b.label for b in blocks)
+        ours += ", blocks " + " ".join(b.label for b in c.block_ids)
+    raise ValueError(f"{what} has {theirs} but the restrictions are for {ours}")
+
+
 def restriction_residual(
     s: StructuralParams,
     c: CompiledRestrictions,
@@ -291,7 +305,9 @@ def restriction_residual(
 ) -> float:
     """Worst violated zero restriction: max_j ||Q_j f e_j||_inf through the
     recorded column permutation.  Zero (up to roundoff) on the restricted set."""
-    return worst_violation(c, assemble_f(s, spec, tol))
+    _require_layout(c, spec, "spec")
+    _require_layout(c, s, "structural point")
+    return worst_violation(c, _assemble_stack(s.A0[None], s.Aplus[None], c.block_ids, c.dims.p, tol)[0])
 
 
 def worst_violation(c: CompiledRestrictions, f_val: np.ndarray) -> float:

@@ -188,6 +188,16 @@ def test_demo_walkthrough(capsys):
     assert "NotIdentified_Redundancy" in out
 
 
+def test_demo_takes_no_options(capsys):
+    # demo reads none of the other commands' options, so each one is a usage error
+    for argv in (["--spec", CEX], ["--draws", "3"], ["--seed", "9"], ["--sigma", SIGMA_EYE],
+                 ["--b", SIGMA_EYE], ["--format", "json"], ["--tol", "1"]):
+        assert main(["demo", *argv]) == 1, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(f"svar-ident: error: unrecognized arguments: {' '.join(argv)}\n")
+
+
 def test_usage_errors_exit_one(capsys):
     assert main([]) == 1
     assert main(["frobnicate"]) == 1

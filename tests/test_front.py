@@ -4,16 +4,18 @@ for the first draw that does not factor or has a singular A0."""
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
 from svarident.cli import main
-from svarident.errors import NotPositiveDefiniteError, SingularA0Error
+from svarident.errors import NotPositiveDefiniteError, SingularA0Error, SvarIdentError
 from svarident.fixtures import COUNTEREXAMPLE, recursive_spec_text
 from svarident.identify import _front, _sampled, check_exact_identification
 from svarident.linalg import DEFAULT_TOL, RankTolerance, numerical_rank
 from svarident.model import baseline_structural
-from svarident.restrictions import assemble_f, parse_spec
+from svarident.restrictions import assemble_f, compile_spec, parse_spec
 from svarident.sampler import SamplerConfig, draw_reduced_form, stream_key
 
 from helpers import spec_text_from_cells
@@ -66,10 +68,11 @@ def test_stacked_front_end_is_bit_identical_to_each_point_alone(n, p, draws):
     labels = ["A0", *(f"LAG{lag}" for lag in sorted({1, p}) if p), "IR0", "IR1", "IR5", "IR12"]
     spec = parse_spec(spec_text_from_cells(n, p, {label: {(1, 2)} for label in labels}))
     cfg = SamplerConfig(dims=spec.dims, seed=n + p, diag_floor=1.0 if n >= 20 else 0.1)
-    seeds, batches = _sampled(cfg, draws, spec)
+    c = compile_spec(spec)
+    seeds, batches = _sampled(cfg, draws, c)
     done = 0
     for b, sigma in batches:
-        a0, aplus, f = _front(b, sigma, spec, DEFAULT_TOL)
+        a0, aplus, f = _front(b, sigma, c, DEFAULT_TOL)
         for i in range(len(b)):
             ref_b, ref_sigma = reference_draw(cfg, done + i)
             ref = reference_f(ref_b, ref_sigma, spec)
@@ -130,3 +133,20 @@ def test_first_draw_with_a_singular_a0_is_named():
     named = rf"^draw {singular[0]} \(seed {stream_key(0, singular[0])}\): A0 is numerically singular$"
     with pytest.raises(SingularA0Error, match=named):
         check_exact_identification(spec, config=cfg, draws=5, tol=tol)
+
+
+def test_an_overflowing_f_names_its_draw_without_numpy_warnings(tmp_path, capsys):
+    # an impulse response 5000 steps out of an explosive B overflows: the
+    # draw's f is refused, not walked into an SVD that does not converge
+    text = spec_text_from_cells(3, 1, {"A0": {(2, 1), (3, 1), (3, 2)}, "IR5000": set()})
+    path = tmp_path / "ir5000.spec"
+    path.write_text(text, encoding="utf-8")
+    message = f"draw 0 (seed {stream_key(0, 0)}): f is not finite: an impulse-response block overflows"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning would raise here
+        with pytest.raises(SvarIdentError) as err:
+            check_exact_identification(parse_spec(text), draws=5)
+        assert str(err.value) == message
+        capsys.readouterr()
+        assert main(["check", "--spec", str(path)]) == 1
+    assert capsys.readouterr() == ("", f"svar-ident: error: {message}\n")

@@ -30,7 +30,7 @@ from svarident.identify import (
     sign_normalize,
     theorem6_check,
 )
-from svarident import linalg
+from svarident import identify, linalg, restrictions
 from svarident.linalg import DEFAULT_TOL, RankTolerance
 from svarident.model import (
     ModelDims,
@@ -41,6 +41,7 @@ from svarident.model import (
 )
 from svarident.restrictions import (
     CompiledRestrictions,
+    RestrictionSpec,
     assemble_f,
     compile_spec,
     parse_spec,
@@ -413,6 +414,64 @@ def test_point_dims_must_match_the_spec():
     c = compile_spec(spec)
     with pytest.raises(ValueError, match=r"n = 2, p = 1 .* n = 3, p = 1"):
         construct_rotation(_eye_point(2), c, spec)
+
+
+def _beside_c(r, s, c, spec) -> dict:
+    """The six public functions that take a spec beside c, each as a call."""
+    return {
+        "nonredundancy_at": lambda: nonredundancy_at(r, c, spec),
+        "construct_rotation": lambda: construct_rotation(r, c, spec),
+        "redundancy_explanation": lambda: redundancy_explanation(r, c, spec),
+        "restricted_point": lambda: restricted_point(r, c, spec),
+        "theorem6_check": lambda: theorem6_check(s, c, spec),
+        "restriction_residual": lambda: restriction_residual(s, c, spec),
+    }
+
+
+def test_a_spec_beside_c_must_name_c_layout(monkeypatch):
+    # f is assembled in c's block order, so a spec with its blocks reordered
+    # once gave a restricted point that missed c's restrictions by 1.86
+    spec = parse_spec(COUNTEREXAMPLE)  # n = 3, p = 1, blocks A0 IR0
+    c = compile_spec(spec)
+    r = draw_reduced_form(SamplerConfig(dims=spec.dims, seed=0), 0)
+    s = restricted_point(r, c, spec)
+
+    def no_f(*args):
+        raise AssertionError("f assembled before the layouts were compared")
+
+    monkeypatch.setattr(identify, "_assemble_stack", no_f)
+    monkeypatch.setattr(restrictions, "_assemble_stack", no_f)
+    for wrong, theirs in ((RestrictionSpec(spec.dims, spec.blocks[::-1]), "n = 3, p = 1, blocks IR0 A0"),
+                          (parse_spec(recursive_spec_text(4)), "n = 4, p = 1, blocks A0"),
+                          (parse_spec(recursive_spec_text(3, 2)), "n = 3, p = 2, blocks A0")):
+        for name, call in _beside_c(r, s, c, wrong).items():
+            with pytest.raises(ValueError) as err:
+                call()
+            assert str(err.value) == (f"spec has {theirs} but the restrictions are for "
+                                      "n = 3, p = 1, blocks A0 IR0"), name
+
+
+def test_a_from_matrices_system_beside_its_spec_is_accepted():
+    # bench/ builds dense-Q systems from the spec's own block list
+    spec = parse_spec(COUNTEREXAMPLE)
+    c = compile_spec(spec)
+    zero = np.vstack([mask for _, mask in spec.blocks]).astype(float)  # k x n
+    dense = CompiledRestrictions.from_matrices(
+        spec.dims, [b for b, _ in spec.blocks], [np.diag(col) for col in zero.T])
+    r = draw_reduced_form(SamplerConfig(dims=spec.dims, seed=0), 0)
+    s = restricted_point(r, c, spec)
+    compiled, general = _beside_c(r, s, c, spec), _beside_c(r, s, dense, spec)
+    for name in compiled:
+        got, want = general[name](), compiled[name]()
+        if name == "redundancy_explanation":
+            assert (got, bool(want)) == ((), True)  # general Q rows name no cell
+        elif name in ("construct_rotation", "nonredundancy_at"):
+            assert (got.per_column, got.sign_flips, got.unique) == \
+                (want.per_column, want.sign_flips, want.unique), name
+        elif name == "restricted_point":
+            assert np.array_equal(got.A0, want.A0) and np.array_equal(got.Aplus, want.Aplus)
+        else:
+            assert got == want, name
 
 
 def test_report_explains_its_first_failing_draw():

@@ -52,6 +52,22 @@ def test_parse_comments_and_blanks():
     assert spec.blocks[0][1].tolist() == [[False, False], [True, False]]
 
 
+def test_a_leading_byte_order_mark_is_ignored(tmp_path, capsys):
+    # a document saved as UTF-8 with a BOM parses equal to the same document
+    # without it, and its errors keep their line numbers
+    for text in (COUNTEREXAMPLE, spec_text_from_cells(3, 1, {"A0": {(2, 1), (3, 1), (3, 2)}})):
+        plain, marked = parse_spec(text), parse_spec("\ufeff" + text)
+        assert marked.dims == plain.dims
+        assert [(b, m.tolist()) for b, m in marked.blocks] == [(b, m.tolist()) for b, m in plain.blocks]
+    with pytest.raises(SpecSyntaxError, match=r"^line 3: unexpected line 'x x'$"):
+        parse_spec("\ufeffn = 2\np = 1\nx x\n")
+    path = tmp_path / "bom.spec"
+    path.write_text(COUNTEREXAMPLE, encoding="utf-8-sig")
+    assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert main(["check", "--spec", str(path)]) == 2
+    assert "verdict: NotIdentified_Redundancy" in capsys.readouterr().out
+
+
 def test_parse_deterministic():
     a = parse_spec(COUNTEREXAMPLE)
     b = parse_spec(COUNTEREXAMPLE)

@@ -6,20 +6,19 @@ Runs the check ops of a benchmark workload in-process against the package
 under PATH/src (default: this checkout), with a timer around each of the
 package's layer functions.  W is screen-small (default: its `check` ops,
 through `cli.main`, output captured) or walk-large (its `api-check` ops,
-through `bench/ops.py`'s `run_api_check`, as the benchmark runs them).
+through `bench/ops.py`'s `run_api_check`, and its dense-Q `api` ops, 20
+`nonredundancy_at` walks each, through `run_api`, as the benchmark runs
+them).  Each op kind is measured on its own and gets its own table.
 Unlike `bench/traced.py`, which re-does an op through each layer's public
 function, this times the op's own calls, so a walk the op no longer makes
 shows as a layer that is gone.
 
 Layers and what they time (self time: a layer's nested layers are
-subtracted, except inside `theorem6` and `cross-check walk`, which count
-everything below them):
+subtracted, except inside `theorem6`, which counts everything below it):
   sample            draw_reduced_form / the stacked draw
   baseline          baseline_structural / the stacked baseline
   f                 assemble_f / the stacked assembly of f
-  walk              _build_columns (the check's walk of its draws)
-  cross-check walk  _picked: a second walk of draw 0 for the cross-check,
-                    made by older trees (check now reads draw 0's walk)
+  walk              _build_columns (the walk of each point)
   theorem6          theorem6_check, and _theorem6, the rank test a check
                     runs on F = f P of its draw 0
   render            check_report_dict, check_report_text, render_json;
@@ -36,7 +35,8 @@ The timers add a few microseconds per wrapped call; the overhead line
 compares the op time with and without them.  Untimed and timed passes
 alternate, cycle by cycle and with the same op seeds, and swap which goes
 first, so that machine drift falls on both alike; the median difference
-of an op's two times is the steadiest figure.  The last line is JSON.
+of an op's two times is the steadiest figure.  Each op kind's table
+ends with a JSON line.
 """
 
 from __future__ import annotations
@@ -62,14 +62,13 @@ LAYERS = {
     "baseline": [("model", "baseline_structural"), ("model", "_baseline_stack")],
     "f": [("restrictions", "assemble_f"), ("restrictions", "_assemble_stack")],
     "walk": [("identify", "_build_columns")],
-    "cross-check walk": [("identify", "_picked")],
     "theorem6": [("identify", "theorem6_check"), ("identify", "_theorem6")],
     "render": [("report", "check_report_dict"), ("report", "check_report_text"),
                ("report", "render_json")],
     "parse+compile": [("restrictions", "parse_spec"), ("restrictions", "compile_spec")],
     "argparse": [("cli", "_build_parser")],
 }
-INCLUSIVE = {"theorem6", "cross-check walk"}
+INCLUSIVE = {"theorem6"}
 # layer -> {function: label}: the layer's functions, each also shown on its own line
 PARTS = {"render": {"check_report_dict": "report dict", "check_report_text": "report text",
                     "render_json": "json text"},
@@ -148,11 +147,12 @@ def install(timers: Timers):
 
 
 def run_cycle(run, ops, seed: int, cycle: int) -> list[float]:
-    """Op times in ms of one pass over ops; every op's exit code must be 0 or 2."""
+    """Op times in ms of one pass over ops, each (workload index, op);
+    every op's exit code must be 0 or 2."""
     from workloads import op_seed
 
     times = []
-    for i, op in enumerate(ops):
+    for i, op in ops:
         out, err = io.StringIO(), io.StringIO()
         start = time.perf_counter()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -164,54 +164,62 @@ def run_cycle(run, ops, seed: int, cycle: int) -> list[float]:
 
 
 def workload_ops(workload: str, seed: int, work: Path):
-    """The workload's check ops, written under work, and the function that
-    runs one op at a draw seed and returns its exit code."""
+    """The workload's timed ops, written under work, grouped by kind as
+    {kind: [(index in the workload, op)]}, and the function that runs one
+    op at a draw seed and returns its exit code."""
+    import numpy as np
     from workloads import screen_small, walk_large, write_inputs
 
+    import ops as bench_ops
     import svarident
     from svarident.cli import main
 
-    if workload == "screen-small":
-        ops = [op for op in write_inputs(screen_small(seed), seed, work) if op.kind == "check"]
-        return ops, lambda op, op_seed: main(op.argv(op_seed))
-    import ops as bench_ops
+    kinds = ("check",) if workload == "screen-small" else ("api-check", "api")
+    make = screen_small if workload == "screen-small" else walk_large
+    groups = {kind: [] for kind in kinds}
+    for i, op in enumerate(write_inputs(make(seed), seed, work)):
+        if op.kind in groups:
+            groups[op.kind].append((i, op))
+    systems = {}  # the dense-Q system of each api op, built as bench/run.py builds it
+    for _, op in groups.get("api", []):
+        spec = svarident.parse_spec(Path(op.path).read_text(encoding="utf-8"))
+        systems[op.q_path] = (spec, svarident.CompiledRestrictions.from_matrices(
+            spec.dims, [b for b, _ in spec.blocks], list(np.load(op.q_path))))
 
-    ops = [op for op in write_inputs(walk_large(seed), seed, work) if op.kind == "api-check"]
-    return ops, lambda op, op_seed: bench_ops.run_api_check(svarident, op, op_seed)[0]
+    def run(op, op_seed: int) -> int:
+        if op.kind == "check":
+            return main(op.argv(op_seed))
+        if op.kind == "api-check":
+            return bench_ops.run_api_check(svarident, op, op_seed)[0]
+        bench_ops.run_api(svarident, op, systems[op.q_path], op_seed)
+        return 0
+    return groups, run
 
 
-def report_layers() -> None:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--src", default=str(ROOT), help="checkout whose src/ is measured")
-    ap.add_argument("--workload", choices=("screen-small", "walk-large"), default="screen-small")
-    ap.add_argument("--seed", type=int, default=1, help="workload seed")
-    ap.add_argument("--cycles", type=int, default=5, help="passes over the check ops")
-    args = ap.parse_args()
-    sys.path[:0] = [str(Path(args.src) / "src"), str(ROOT / "bench")]
-    import tempfile
-
-    with tempfile.TemporaryDirectory() as work:
-        ops, run = workload_ops(args.workload, args.seed, Path(work))
-        run_cycle(run, ops, args.seed, 0)  # warm-up
-        timers = Timers()
-        plain, timed = [], []
-        for cycle in range(args.cycles):
-            for with_timers in ((False, True) if cycle % 2 == 0 else (True, False)):
-                if not with_timers:
-                    plain += run_cycle(run, ops, args.seed, cycle)
-                    continue
-                restore = install(timers)
-                try:
-                    timed += run_cycle(run, ops, args.seed, cycle)
-                finally:
-                    restore()
+def measure(run, ops, args) -> None:
+    """Time the ops, (workload index, op) pairs of one kind, with and
+    without the layer timers, and print their table and JSON line."""
+    run_cycle(run, ops, args.seed, 0)  # warm-up
+    timers = Timers()
+    plain, timed = [], []
+    for cycle in range(args.cycles):
+        for with_timers in ((False, True) if cycle % 2 == 0 else (True, False)):
+            if not with_timers:
+                plain += run_cycle(run, ops, args.seed, cycle)
+                continue
+            restore = install(timers)
+            try:
+                timed += run_cycle(run, ops, args.seed, cycle)
+            finally:
+                restore()
     n_ops = len(timed)
     per_op = {layer: timers.self_s.get(layer, 0.0) * 1000.0 / n_ops for layer in LAYERS}
     per_op["other"] = sum(timed) / n_ops - sum(per_op.values())
     total = sum(timed) / n_ops
     parts = {layer: {part: s * 1000.0 / n_ops for part, s in layer_parts.items()}
              for layer, layer_parts in timers.part_s.items()}
-    print(f"{n_ops} check ops ({args.workload} seed {args.seed}, {args.cycles} cycles), "
+    kind = ops[0][1].kind
+    print(f"{n_ops} {kind} ops ({args.workload} seed {args.seed}, {args.cycles} cycles), "
           f"src {args.src}")
     for layer, ms in per_op.items():
         print(f"  {layer:17s} {ms:7.3f} ms/op  {100.0 * ms / total:5.1f}%")
@@ -228,9 +236,25 @@ def report_layers() -> None:
     print(json.dumps({"src": args.src, "seed": args.seed, "ops": n_ops, "ms_per_op": per_op,
                       "counts_per_op": counts, "op_mean_ms_timed": total,
                       "op_mean_ms_plain": statistics.fmean(plain),
-                      "workload": args.workload, "render_ms_per_op": parts.get("render", {}),
+                      "workload": args.workload, "kind": kind,
+                      "render_ms_per_op": parts.get("render", {}),
                       "parse_ms_per_op": parts.get("parse+compile", {})}))
 
+
+def report_layers() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--src", default=str(ROOT), help="checkout whose src/ is measured")
+    ap.add_argument("--workload", choices=("screen-small", "walk-large"), default="screen-small")
+    ap.add_argument("--seed", type=int, default=1, help="workload seed")
+    ap.add_argument("--cycles", type=int, default=5, help="passes over the check ops")
+    args = ap.parse_args()
+    sys.path[:0] = [str(Path(args.src) / "src"), str(ROOT / "bench")]
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as work:
+        groups, run = workload_ops(args.workload, args.seed, Path(work))
+        for ops in groups.values():
+            measure(run, ops, args)
 
 if __name__ == "__main__":
     report_layers()

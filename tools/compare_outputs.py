@@ -7,12 +7,18 @@ Runs `check`, `explain` and `rotate`, each with `--format text` and
 and the specs of the screen-small and cli-cold workloads (bench/) at
 seeds 1-8, each at draw seeds (`--seed`) 11 and 12; the n = 3 documents
 also at the explicit point `--sigma specs/sigma_eye3.txt` and under an
-absolute `--tol 1e-9`.  It also renders walk-large's api-check JSON
-reports (`bench/ops.py` `run_api_check`) at walk-large seeds 1-4, each
-at draw seeds 11 and 12.  The cases run
-against src/ of this checkout and src/ of the tree at PATH, each tree in
-its own child process, in-process through `svarident.cli.main`.  Every
-case whose stdout, stderr or exit code differs is printed with a unified
+absolute `--tol 1e-9`.  It runs `demo`, and the error paths of
+`check`, `explain` and `rotate`: no `--spec`, a missing file, `--sigma
+""`, `--tol nan`, `--draws 1` and a malformed document, and `rotate` on
+specs/overcounted3.spec.  It also renders walk-large's api-check JSON
+reports (`bench/ops.py` `run_api_check`), and walks walk-large's dense-Q
+api ops (`bench/ops.py` `run_api`: `nonredundancy_at` at each of the
+op's draws) printing, per draw, P's bytes (as SHA-256), per_column (as
+the SHA-256 of its repr), sign_flips and unique; both at walk-large
+seeds 1-4, each at draw seeds 11 and 12.  The cases run against src/
+of this checkout and src/ of the tree at PATH, each tree in its own
+child process, in-process through `svarident.cli.main`.  Every case
+whose stdout, stderr or exit code differs is printed with a unified
 diff; the exit status is 1 when any case differs.
 """
 
@@ -21,6 +27,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import difflib
+import hashlib
 import io
 import json
 import os
@@ -61,13 +68,42 @@ def cases(work: Path) -> list[dict]:
         for command in ("check", "explain", "rotate"):
             for fmt in ("text", "json"):
                 out += [{"argv": [command, "--spec", doc, "--format", fmt, *v]} for v in variants]
+    out.append({"argv": ["demo"]})
+    malformed = work / "malformed.spec"
+    malformed.write_text("n = 3\np = 1\nblock A0\nx x\n", encoding="utf-8")
+    rec3 = str(ROOT / "specs" / "recursive3.spec")
+    for command in ("check", "explain", "rotate"):
+        out += [{"argv": [command, *argv]} for argv in (
+            [], ["--spec", str(work / "missing.spec")], ["--spec", rec3, "--sigma", ""],
+            ["--spec", rec3, "--tol", "nan"], ["--spec", rec3, "--draws", "1"],
+            ["--spec", str(malformed)])]
+    out.append({"argv": ["rotate", "--spec", str(ROOT / "specs" / "overcounted3.spec")]})
     for seed in WALK_LARGE_SEEDS:
         sub = work / f"walk_large-{seed}"
         sub.mkdir()
         for i, op in enumerate(write_inputs(walk_large(seed), seed, sub)):
-            if op.kind == "api-check":
-                out += [{"walk_large": [seed, i, op.path], "seed": s} for s in DRAW_SEEDS]
+            if op.kind in ("api-check", "api"):
+                out += [{"walk_large": [seed, i, op.path, op.q_path], "seed": s}
+                        for s in DRAW_SEEDS]
     return out
+
+
+def dense_walks(api, ops_mod, op, seed: int) -> str:
+    """What the dense-Q api op at a draw seed walks: one line per draw."""
+    import numpy as np
+
+    spec = api.parse_spec(Path(op.path).read_text(encoding="utf-8"))
+    c = api.CompiledRestrictions.from_matrices(
+        spec.dims, [b for b, _ in spec.blocks], list(np.load(op.q_path)))
+    cfg = ops_mod.sampler_config(api, op, spec.dims, seed)
+    lines = []
+    for i in range(op.n_draws):
+        rot = api.nonredundancy_at(api.draw_reduced_form(cfg, i), c, spec)
+        p_bytes = b"none" if rot.P is None else rot.P.tobytes()
+        lines.append(f"draw {i}: P {hashlib.sha256(p_bytes).hexdigest()} per_column "
+                     f"{hashlib.sha256(repr(rot.per_column).encode()).hexdigest()} "
+                     f"sign_flips {rot.sign_flips} unique {rot.unique}\n")
+    return "".join(lines)
 
 
 def run_cases(cases_path: str, out_path: str) -> None:
@@ -89,9 +125,12 @@ def run_cases(cases_path: str, out_path: str) -> None:
             if "argv" in case:
                 code = main(case["argv"])
             else:
-                seed, i, path = case["walk_large"]
-                op = dataclasses.replace(walk_large(seed)[i], path=path)
-                code, text = ops.run_api_check(svarident, op, case["seed"])
+                seed, i, path, q_path = case["walk_large"]
+                op = dataclasses.replace(walk_large(seed)[i], path=path, q_path=q_path)
+                if op.kind == "api":
+                    code, text = 0, dense_walks(svarident, ops, op, case["seed"])
+                else:
+                    code, text = ops.run_api_check(svarident, op, case["seed"])
                 out.write(text)
         results.append([code, out.getvalue(), err.getvalue()])
     Path(out_path).write_text(json.dumps(results), encoding="utf-8")
@@ -128,8 +167,8 @@ def main() -> int:
         if base == this:
             continue
         differ += 1
-        print("DIFF", " ".join(case.get("argv") or [
-            "api-check", case["walk_large"][2], "--seed", str(case["seed"])]))
+        print("DIFF", " ".join(case["argv"]) if "argv" in case else
+              f"walk-large op {case['walk_large'][1]} {case['walk_large'][2]} --seed {case['seed']}")
         if base[0] != this[0]:
             print(f"  exit code {base[0]} -> {this[0]}")
         for stream, a, b in (("stdout", base[1], this[1]), ("stderr", base[2], this[2])):
