@@ -16,7 +16,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import fixtures
 from .errors import InfeasibleRestrictionsError, SpecError, SvarIdentError
 from .identify import (
     Verdict,
@@ -194,6 +193,8 @@ def _cmd_rotate(args) -> int:
 
 
 def _cmd_demo(args) -> int:
+    from . import fixtures  # demo's alone, so not imported with the module
+
     out = sys.stdout
     spec = parse_spec(fixtures.COUNTEREXAMPLE)
     c = compile_spec(spec)

@@ -13,7 +13,6 @@ almost every point, so a handful of draws settles the verdict.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
@@ -25,7 +24,7 @@ from .errors import (
     SvarIdentError,
     UnrestrictedPointError,
 )
-from .linalg import DEFAULT_TOL, RankTolerance, as_matrix
+from .linalg import DEFAULT_TOL, RankTolerance, _Record, as_matrix
 from .model import ReducedFormParams, StructuralParams, _baseline_stack
 from .restrictions import (
     BlockId,
@@ -53,8 +52,7 @@ class ColumnStatus(Enum):
     INFEASIBLE = "Infeasible"
 
 
-@dataclass(frozen=True, init=False)
-class ColumnDiagnostic:
+class ColumnDiagnostic(_Record):
     """Rank outcome for one processed column.
 
     j is the 1-based position in the permuted (most-restricted-first) order;
@@ -73,9 +71,9 @@ class ColumnDiagnostic:
 
     def __init__(self, j, original_column, qtilde_rows, rank, required_rank, status, null_dim,
                  singular_values):
-        # A walk builds one per (point, column).  The generated frozen
-        # __init__ makes one object.__setattr__ call per field, which costs
-        # about three times as much as filling the instance dict directly.
+        # A walk builds one per (point, column).  Taking the eight fields by
+        # name and filling the instance dict costs about 0.6 times what
+        # _Record's shared __init__ does for them.
         d = self.__dict__
         d["j"] = j
         d["original_column"] = original_column
@@ -93,16 +91,14 @@ class ColumnDiagnostic:
         return self.status._value_  # Enum.value's descriptor costs more than the label
 
 
-@dataclass(frozen=True)
-class CountCondition:
+class CountCondition(_Record):
     """Per-column q_j == n - j outcomes in permuted order, plus the overall verdict."""
 
     per_column: tuple[bool, ...]
     overall: bool
 
 
-@dataclass(frozen=True)
-class RotationResult:
+class RotationResult(_Record):
     """Outcome of the sequential column construction at one reduced-form point.
 
     P is None when the construction aborted on a rank-deficient column;
@@ -130,8 +126,7 @@ class Verdict(Enum):
     INCONCLUSIVE_DRAW_DISAGREEMENT = "Inconclusive_DrawDisagreement"
 
 
-@dataclass(frozen=True)
-class DrawRecord:
+class DrawRecord(_Record):
     """One reduced-form draw: its reproducible seed, diagnostics, pass flag."""
 
     seed: int | None
@@ -139,8 +134,7 @@ class DrawRecord:
     passed: bool
 
 
-@dataclass(frozen=True)
-class ImplicatedCell:
+class ImplicatedCell(_Record):
     """A restriction cell that is linearly implied by the others."""
 
     cell: str
@@ -148,8 +142,7 @@ class ImplicatedCell:
     implied_by: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class Theorem6Result:
+class Theorem6Result(_Record):
     """Stacked-identity rank cross-check at one restricted structural point."""
 
     ranks: tuple[int, ...]
@@ -160,8 +153,7 @@ class Theorem6Result:
     passed: bool
 
 
-@dataclass(frozen=True)
-class IdentificationReport:
+class IdentificationReport(_Record):
     """Aggregate verdict over draws for one restriction document.
 
     theorem6 is the rank cross-check at the restricted point of the first
@@ -372,14 +364,9 @@ def _build_columns(a0: np.ndarray, aplus: np.ndarray, f: np.ndarray, c: Compiled
 def _front(b: np.ndarray, sigma: np.ndarray, c: CompiledRestrictions,
            tol: RankTolerance) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Baseline A0 and Aplus, and f in c's block order, of stacked reduced
-    forms (B, Sigma).  An f that overflows (a long IR horizon of an
-    explosive B) is refused, and numpy's overflow warnings are not shown."""
+    forms (B, Sigma)."""
     a0, aplus = _baseline_stack(b, sigma)
-    with np.errstate(over="ignore", invalid="ignore"):
-        f = _assemble_stack(a0, aplus, c.block_ids, c.dims.p, tol)
-    if not np.isfinite(f).all():
-        raise SvarIdentError("f is not finite: an impulse-response block overflows")
-    return a0, aplus, f
+    return a0, aplus, _assemble_stack(a0, aplus, c.block_ids, c.dims.p, tol)
 
 
 def _walk_at(r: ReducedFormParams, c: CompiledRestrictions, tol: RankTolerance,

@@ -7,7 +7,8 @@ caller in the package counts singular values the same way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import dataclasses
+import inspect
 
 import numpy as np
 
@@ -29,8 +30,83 @@ def as_matrix(a, name: str = "matrix", stack: bool = False) -> np.ndarray:
     return m
 
 
-@dataclass(frozen=True)
-class RankTolerance:
+class _Record:
+    """Base of the package's public value classes.  Each subclass becomes a
+    dataclass (fields, replace, astuple, asdict and __match_args__ work)
+    whose methods are these, not code that @dataclass(frozen=True)
+    generates and compiles for every class (about 1 ms a class): __init__
+    binds positional, keyword and default arguments, then runs
+    __post_init__; repr, equality (with the same class only) and hash go
+    over the fields in order; setting or deleting an attribute raises
+    FrozenInstanceError.  An instance's __dict__ holds exactly its fields,
+    in order (a subclass's own __init__ must fill it so), and these
+    methods read the fields from it.
+    """
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        dataclasses.dataclass(cls, init=False, repr=False, eq=False)
+        fields = dataclasses.fields(cls)
+        cls._positions = tuple(enumerate(f.name for f in fields))
+        cls._defaults = tuple(f.default for f in fields)
+        if "__init__" not in cls.__dict__:
+            cls.__signature__ = inspect.Signature([
+                inspect.Parameter(f.name, inspect.Parameter.POSITIONAL_OR_KEYWORD, annotation=f.type,
+                                  default=inspect.Parameter.empty if f.default is dataclasses.MISSING
+                                  else f.default)
+                for f in fields], return_annotation=None)
+
+    def __init__(self, *args, **kwargs):
+        positions = self._positions
+        if kwargs or len(args) != len(positions):
+            args = self._bind(args, kwargs)
+        d = self.__dict__
+        for i, name in positions:
+            d[name] = args[i]
+        self.__post_init__()
+
+    @classmethod
+    def _bind(cls, args: tuple, kwargs: dict) -> list:
+        """The value of each field, in order, from a call's arguments and
+        the fields' defaults."""
+        names = cls.__match_args__
+        if len(args) > len(names):
+            raise TypeError(f"{cls.__name__}() takes {len(names)} positional arguments "
+                            f"but {len(args)} were given")
+        values = list(args)
+        for name, default in zip(names[len(args):], cls._defaults[len(args):]):
+            value = kwargs.pop(name, default)
+            if value is dataclasses.MISSING:
+                raise TypeError(f"{cls.__name__}() missing required argument {name!r}")
+            values.append(value)
+        for name in kwargs:
+            problem = "multiple values for" if name in names else "an unexpected keyword"
+            raise TypeError(f"{cls.__name__}() got {problem} argument {name!r}")
+        return values
+
+    def __post_init__(self):
+        pass
+
+    def __repr__(self):
+        fields = ", ".join([f"{name}={value!r}" for name, value in self.__dict__.items()])
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.__dict__ == other.__dict__
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(tuple(self.__dict__.values()))
+
+    def __setattr__(self, name, value):
+        raise dataclasses.FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise dataclasses.FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class RankTolerance(_Record):
     """Cutoff policy for counting singular values as nonzero.
 
     policy "relative": cutoff = value * sigma_max, with value defaulting to

@@ -8,22 +8,20 @@ y_t' = x_t' B + u_t' with B = Aplus A0^{-1} and Sigma = (A0 A0')^{-1}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import NotSymmetricError, SingularA0Error
+from .errors import NotSymmetricError, SingularA0Error, SvarIdentError
 from .linalg import (
     DEFAULT_TOL,
     RankTolerance,
+    _Record,
     as_matrix,
     cholesky_lower,
     numerical_rank,
 )
 
 
-@dataclass(frozen=True)
-class ModelDims:
+class ModelDims(_Record):
     """Number of variables n and lag order p; m = n*p + 1 regressors."""
 
     n: int
@@ -46,8 +44,7 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class StructuralParams:
+class StructuralParams(_Record):
     """Structural coefficients (A0, Aplus); immutable after construction."""
 
     dims: ModelDims
@@ -66,8 +63,7 @@ class StructuralParams:
         object.__setattr__(self, "Aplus", _frozen(ap))
 
 
-@dataclass(frozen=True)
-class ReducedFormParams:
+class ReducedFormParams(_Record):
     """Reduced-form coefficients B and innovation covariance Sigma."""
 
     dims: ModelDims
@@ -151,6 +147,8 @@ def _impulse_responses(a0: np.ndarray, aplus, horizons, p: int, tol: RankToleran
     powers are taken point by point, so no stacked (M, np, np) array is
     held.  Horizon 0 is (A0^{-1})'; later horizons premultiply by the
     reduced-form moving-average coefficient.  With p = 0 every h >= 1 is 0.
+    A response that overflows (a long horizon of an explosive B) is
+    refused, and numpy's overflow warnings are not shown.
     """
     if not horizons:
         return []
@@ -158,15 +156,19 @@ def _impulse_responses(a0: np.ndarray, aplus, horizons, p: int, tol: RankToleran
     ir0 = np.linalg.inv(a0).swapaxes(-1, -2)
     n = a0.shape[-1]
     later = [h for h in horizons if h > 0]
-    if later and p > 0:
-        b = np.linalg.solve(a0.swapaxes(-1, -2), aplus.swapaxes(-1, -2)).swapaxes(-1, -2)
-        psi = np.empty((len(later), len(a0), n, n))
-        for i, b_i in enumerate(b):
-            comp = _companion(b_i, n, p)
-            for j, h in enumerate(later):
-                psi[j, i] = np.linalg.matrix_power(comp, h)[:n, :n]
-    return [ir0 if h == 0 else (psi[later.index(h)] @ ir0 if p else np.zeros_like(ir0))
-            for h in horizons]
+    with np.errstate(over="ignore", invalid="ignore"):
+        if later and p > 0:
+            b = np.linalg.solve(a0.swapaxes(-1, -2), aplus.swapaxes(-1, -2)).swapaxes(-1, -2)
+            psi = np.empty((len(later), len(a0), n, n))
+            for i, b_i in enumerate(b):
+                comp = _companion(b_i, n, p)
+                for j, h in enumerate(later):
+                    psi[j, i] = np.linalg.matrix_power(comp, h)[:n, :n]
+        irs = [ir0 if h == 0 else (psi[later.index(h)] @ ir0 if p else np.zeros_like(ir0))
+               for h in horizons]
+    if not all(np.isfinite(ir).all() for ir in irs):
+        raise SvarIdentError("f is not finite: an impulse-response block overflows")
+    return irs
 
 
 def ir_horizon(s: StructuralParams, h: int, tol: RankTolerance = DEFAULT_TOL) -> np.ndarray:

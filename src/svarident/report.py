@@ -7,7 +7,6 @@ numbers round-trip exactly.
 
 from __future__ import annotations
 
-import json
 import math
 
 import numpy as np
@@ -94,16 +93,19 @@ def render_json(payload: dict) -> str:
     exactly int or str, is rendered once per indent: a check's column dicts
     repeat across its draws.  Exact types keep a bool or a float out of that
     memo, since True == 1 == 1.0.  What json refuses raises json's TypeError.
+    json is imported here, not with the module: text output never needs it.
     """
-    return _json(payload, "\n", {}) + "\n"
+    from json.encoder import encode_basestring_ascii
+
+    return _json(payload, "\n", {}, encode_basestring_ascii) + "\n"
 
 
-_ENCODE = json.encoder.encode_basestring_ascii
 _FLAT = frozenset((int, str))
 
 
-def _json(o, nl: str, memo: dict) -> str:
-    """o as json.dumps(..., indent=2) writes it; nl starts the line o is on."""
+def _json(o, nl: str, memo: dict, encode) -> str:
+    """o as json.dumps(..., indent=2) writes it, with encode quoting
+    strings; nl starts the line o is on."""
     inner = nl + "  "
     if isinstance(o, dict):
         if not o:
@@ -115,16 +117,16 @@ def _json(o, nl: str, memo: dict) -> str:
             if text is not None:
                 return text
         text = "{" + inner + ("," + inner).join(
-            [_ENCODE(_key(k)) + ": " + _json(v, inner, memo) for k, v in o.items()]) + nl + "}"
+            [encode(_key(k)) + ": " + _json(v, inner, memo, encode) for k, v in o.items()]) + nl + "}"
         if key is not None:
             memo[key] = text
         return text
     if isinstance(o, (list, tuple)):
         if not o:
             return "[]"
-        return "[" + inner + ("," + inner).join([_json(v, inner, memo) for v in o]) + nl + "]"
+        return "[" + inner + ("," + inner).join([_json(v, inner, memo, encode) for v in o]) + nl + "]"
     if isinstance(o, str):
-        return _ENCODE(o)
+        return encode(o)
     if o is None or o is True or o is False:
         return "null" if o is None else "true" if o else "false"
     if isinstance(o, int):
@@ -133,6 +135,8 @@ def _json(o, nl: str, memo: dict) -> str:
         if math.isfinite(o):
             return float.__repr__(o)
         return "NaN" if o != o else "Infinity" if o > 0 else "-Infinity"
+    import json
+
     json.JSONEncoder().default(o)  # raises json's TypeError
 
 
@@ -141,7 +145,7 @@ def _key(k) -> str:
     if isinstance(k, str):
         return k
     if isinstance(k, (int, float)) or k is None:
-        return _json(k, "", {})
+        return _json(k, "", {}, None)
     raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
 
 

@@ -11,7 +11,6 @@ row of Aplus cannot be restricted; no block addresses it.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,7 +20,7 @@ from .errors import (
     SpecSyntaxError,
     UnknownBlockError,
 )
-from .linalg import DEFAULT_TOL, RankTolerance, as_matrix, numerical_rank
+from .linalg import DEFAULT_TOL, RankTolerance, _Record, as_matrix, numerical_rank
 from .model import ModelDims, StructuralParams, _impulse_responses
 
 _BLOCK_RE = re.compile(r"A0|(LAG|IR)([0-9]+)")
@@ -32,19 +31,19 @@ _INT_RE = re.compile(r"[+-]?[0-9]+")
 _FLOORS = {"n": (1, "n must be at least 1"), "p": (0, "p must be nonnegative")}
 
 
-@dataclass(frozen=True)
-class BlockId:
+class BlockId(_Record):
     """Which n x n transformation a pattern applies to."""
 
     kind: str  # "A0", "LAG", or "IR"
     index: int = 0  # lag 1..p for LAG, horizon >= 0 for IR, unused for A0
 
     def __post_init__(self):
-        if self.kind not in ("A0", "LAG", "IR"):
-            raise ValueError(f"unknown block kind {self.kind!r}")
-        if self.kind == "LAG" and self.index < 1:
+        kind = self.kind
+        if kind not in ("A0", "LAG", "IR"):
+            raise ValueError(f"unknown block kind {kind!r}")
+        if kind == "LAG" and self.index < 1:
             raise ValueError("LAG index starts at 1")
-        if self.kind == "IR" and self.index < 0:
+        if kind == "IR" and self.index < 0:
             raise ValueError("IR horizon must be nonnegative")
 
     @property
@@ -64,8 +63,7 @@ def _admit_block(kind: str, index: int, p: int, earlier, line: int | None = None
     return block
 
 
-@dataclass(frozen=True)
-class RestrictionSpec:
+class RestrictionSpec(_Record):
     """Parsed restriction document: dims plus ordered (BlockId, zero-mask) pairs.
 
     A mask entry True means the cell is restricted to zero.
@@ -172,8 +170,7 @@ def parse_spec(text: str) -> RestrictionSpec:
     return RestrictionSpec(ModelDims(**dims), tuple(blocks))
 
 
-@dataclass(frozen=True)
-class CompiledRestrictions:
+class CompiledRestrictions(_Record):
     """Restriction system in processing order (most-restricted column first).
 
     Q[t] holds the restriction rows of the column handled at step t, so its

@@ -2,15 +2,13 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from .linalg import _Record
 from .model import ModelDims, ReducedFormParams
 
 
-@dataclass(frozen=True)
-class SamplerConfig:
+class SamplerConfig(_Record):
     """How to draw reduced-form points.
 
     Sigma is built as L L' from a random lower-triangular L whose diagonal is

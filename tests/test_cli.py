@@ -256,13 +256,15 @@ def test_cutoff_above_every_singular_value_names_no_cell(capsys):
 
 
 def test_check_does_not_import_scipy():
-    # scipy costs a cold start more than the rest of the package together
+    # scipy costs a cold start more than the rest of the package together;
+    # a text check needs neither json (about 2 ms) nor demo's fixture
     script = (
         "import contextlib, io, sys\n"
         "from svarident.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    code = main(['check', '--spec', {REC3!r}])\n"
-        "print(code, sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+        "print(code, sorted(m for m in sys.modules\n"
+        "                   if m.startswith('scipy') or m in ('json', 'svarident.fixtures')))\n"
     )
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(

@@ -12,10 +12,10 @@ import pytest
 from svarident.cli import main
 from svarident.errors import NotPositiveDefiniteError, SingularA0Error, SvarIdentError
 from svarident.fixtures import COUNTEREXAMPLE, recursive_spec_text
-from svarident.identify import _front, _sampled, check_exact_identification
+from svarident.identify import _front, _sampled, check_exact_identification, theorem6_check
 from svarident.linalg import DEFAULT_TOL, RankTolerance, numerical_rank
-from svarident.model import baseline_structural
-from svarident.restrictions import assemble_f, compile_spec, parse_spec
+from svarident.model import baseline_structural, ir_horizon
+from svarident.restrictions import assemble_f, compile_spec, parse_spec, restriction_residual
 from svarident.sampler import SamplerConfig, draw_reduced_form, stream_key
 
 from helpers import spec_text_from_cells
@@ -150,3 +150,26 @@ def test_an_overflowing_f_names_its_draw_without_numpy_warnings(tmp_path, capsys
         capsys.readouterr()
         assert main(["check", "--spec", str(path)]) == 1
     assert capsys.readouterr() == ("", f"svar-ident: error: {message}\n")
+
+
+def test_an_overflowing_impulse_response_is_refused_where_it_is_computed():
+    # the refusal lives where companion powers are taken, so every function
+    # that assembles f refuses that draw's f, without a numpy warning; before,
+    # restriction_residual read the all-inf/nan f as satisfied (0.0)
+    spec = parse_spec(spec_text_from_cells(3, 1, {"A0": {(2, 1), (3, 1), (3, 2)}, "IR5000": set()}))
+    c = compile_spec(spec)
+    s = baseline_structural(draw_reduced_form(SamplerConfig(spec.dims, seed=0), 0))
+    calls = {
+        "assemble_f": lambda: assemble_f(s, spec),
+        "ir_horizon": lambda: ir_horizon(s, 5000),
+        "restriction_residual": lambda: restriction_residual(s, c, spec),
+        "theorem6_check": lambda: theorem6_check(s, c, spec),
+    }
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning would raise here
+        for name, call in calls.items():
+            with pytest.raises(SvarIdentError) as err:
+                call()
+            assert type(err.value) is SvarIdentError, name
+            assert str(err.value) == "f is not finite: an impulse-response block overflows", name
+        assert np.isfinite(ir_horizon(s, 20)).all()

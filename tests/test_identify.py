@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -69,30 +67,6 @@ INFEASIBLE2 = spec_text_from_cells(2, 1, {"A0": {(1, 1), (2, 1)}})
 def _eye_point(n, p=1):
     dims = ModelDims(n, p)
     return ReducedFormParams(dims, np.zeros((dims.m, n)), np.eye(n))
-
-
-def test_column_diagnostic_is_an_immutable_value():
-    # its __init__ fills the instance dict directly, for speed; it must stay
-    # the frozen dataclass it was: same fields, repr, equality and hash
-    d = ColumnDiagnostic(2, 3, 4, 1, 2, ColumnStatus.REDUNDANT, 2, (1.5, 0.25))
-    assert [f.name for f in dataclasses.fields(ColumnDiagnostic)] == [
-        "j", "original_column", "qtilde_rows", "rank", "required_rank", "status", "null_dim",
-        "singular_values"]
-    assert repr(d) == (
-        "ColumnDiagnostic(j=2, original_column=3, qtilde_rows=4, rank=1, required_rank=2, "
-        "status=<ColumnStatus.REDUNDANT: 'Redundant'>, null_dim=2, singular_values=(1.5, 0.25))")
-    same = ColumnDiagnostic(j=2, original_column=3, qtilde_rows=4, rank=1, required_rank=2,
-                            status=ColumnStatus.REDUNDANT, null_dim=2, singular_values=(1.5, 0.25))
-    assert d == same and hash(d) == hash(same) and len({d, same}) == 1
-    assert d != dataclasses.replace(d, rank=2)
-    assert d != dataclasses.astuple(d)
-    assert d.status_label == "Redundant(2)"
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        d.rank = 2
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        del d.rank
-    with pytest.raises(TypeError):
-        ColumnDiagnostic(2, 3, 4, 1, 2, ColumnStatus.REDUNDANT, 2)
 
 
 def test_count_condition_cases():

@@ -15,7 +15,12 @@ reports (`bench/ops.py` `run_api_check`), and walks walk-large's dense-Q
 api ops (`bench/ops.py` `run_api`: `nonredundancy_at` at each of the
 op's draws) printing, per draw, P's bytes (as SHA-256), per_column (as
 the SHA-256 of its repr), sign_flips and unique; both at walk-large
-seeds 1-4, each at draw seeds 11 and 12.  The cases run against src/
+seeds 1-4, each at draw seeds 11 and 12, and each api-check also with
+the repr() of its IdentificationReport.  For specs/*.spec and the corpus
+at draw seeds 11 and 12 it prints the repr() of the API's results: the
+RestrictionSpec, the CompiledRestrictions, the IdentificationReport of
+check_exact_identification and the PICK_ARBITRARY RotationResult of
+construct_rotation at draw 0.  The cases run against src/
 of this checkout and src/ of the tree at PATH, each tree in its own
 child process, in-process through `svarident.cli.main`.  Every case
 whose stdout, stderr or exit code differs is printed with a unified
@@ -55,12 +60,12 @@ def cases(work: Path) -> list[dict]:
         path = work / f"corpus-{entry.name}.spec"
         path.write_text(entry.text, encoding="utf-8")
         docs.append(str(path))
+    out = [{"records": doc, "seed": s} for doc in docs for s in DRAW_SEEDS]
     for workload in (screen_small, cli_cold):
         for seed in SEEDS:
             sub = work / f"{workload.__name__}-{seed}"
             sub.mkdir()
             docs += [op.path for op in write_inputs(workload(seed), seed, sub)]
-    out = []
     for doc in docs:
         variants = [["--seed", str(s)] for s in DRAW_SEEDS]
         if parse_spec(Path(doc).read_text(encoding="utf-8")).dims.n == 3:
@@ -106,6 +111,30 @@ def dense_walks(api, ops_mod, op, seed: int) -> str:
     return "".join(lines)
 
 
+def records(api, doc: str, seed: int) -> str:
+    """repr() of the API's results for a document at a draw seed, one per
+    line; a result the API refuses is its error."""
+    spec = api.parse_spec(Path(doc).read_text(encoding="utf-8"))
+    c = api.compile_spec(spec)
+    r = api.draw_reduced_form(api.SamplerConfig(dims=spec.dims, seed=seed), 0)
+    lines = [repr(spec), repr(c)]
+    for result in (lambda: api.check_exact_identification(spec, seed=seed),
+                   lambda: api.construct_rotation(r, c, spec, api.OnRedundancy.PICK_ARBITRARY)):
+        try:
+            lines.append(repr(result()))
+        except api.SvarIdentError as exc:
+            lines.append(f"{type(exc).__name__}: {exc}")
+    return "\n".join(lines) + "\n"
+
+
+def api_check_report(api, ops_mod, op, seed: int) -> str:
+    """repr() of the IdentificationReport of a walk-large api-check op
+    (bench/ops.py run_api_check) at a draw seed."""
+    spec = api.parse_spec(Path(op.path).read_text(encoding="utf-8"))
+    cfg = ops_mod.sampler_config(api, op, spec.dims, seed)
+    return repr(api.check_exact_identification(spec, config=cfg, draws=op.n_draws)) + "\n"
+
+
 def run_cases(cases_path: str, out_path: str) -> None:
     """In a child whose PYTHONPATH starts with one tree's src/: run every
     case, and write [exit code, stdout, stderr] per case to out_path."""
@@ -124,6 +153,9 @@ def run_cases(cases_path: str, out_path: str) -> None:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             if "argv" in case:
                 code = main(case["argv"])
+            elif "records" in case:
+                code = 0
+                out.write(records(svarident, case["records"], case["seed"]))
             else:
                 seed, i, path, q_path = case["walk_large"]
                 op = dataclasses.replace(walk_large(seed)[i], path=path, q_path=q_path)
@@ -131,6 +163,7 @@ def run_cases(cases_path: str, out_path: str) -> None:
                     code, text = 0, dense_walks(svarident, ops, op, case["seed"])
                 else:
                     code, text = ops.run_api_check(svarident, op, case["seed"])
+                    text += api_check_report(svarident, ops, op, case["seed"])
                 out.write(text)
         results.append([code, out.getvalue(), err.getvalue()])
     Path(out_path).write_text(json.dumps(results), encoding="utf-8")
@@ -168,6 +201,7 @@ def main() -> int:
             continue
         differ += 1
         print("DIFF", " ".join(case["argv"]) if "argv" in case else
+              f"records {case['records']} --seed {case['seed']}" if "records" in case else
               f"walk-large op {case['walk_large'][1]} {case['walk_large'][2]} --seed {case['seed']}")
         if base[0] != this[0]:
             print(f"  exit code {base[0]} -> {this[0]}")
