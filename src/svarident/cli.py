@@ -72,7 +72,8 @@ def _build_parser() -> argparse.ArgumentParser:
         if name == "demo":  # takes no options
             continue
         p.add_argument("--spec", help="path to a restriction document")
-        p.add_argument("--draws", type=int, default=5, help="number of sampled draws (default 5)")
+        if name != "rotate":  # rotate walks one point: the --sigma/--b point or draw 0
+            p.add_argument("--draws", type=int, default=5, help="number of sampled draws (default 5)")
         p.add_argument("--seed", type=int, default=0, help="base seed for sampled draws (default 0)")
         p.add_argument("--sigma", help="plain-text Sigma matrix file (one row per line)")
         p.add_argument("--b", help="plain-text B matrix file (one row per line)")

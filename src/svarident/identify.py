@@ -24,7 +24,7 @@ from .errors import (
     SvarIdentError,
     UnrestrictedPointError,
 )
-from .linalg import DEFAULT_TOL, RankTolerance, _Record, as_matrix
+from .linalg import DEFAULT_TOL, RankTolerance, _Record
 from .model import ReducedFormParams, StructuralParams, _baseline_stack
 from .restrictions import (
     BlockId,
@@ -191,29 +191,6 @@ def _require_count(c: CompiledRestrictions) -> None:
         )
 
 
-def sign_normalize(p, j: int, a0) -> tuple[np.ndarray, int]:
-    """Flip p so that entry j (1-based) of A0 p is positive.
-
-    When that entry is numerically zero the first entry of p exceeding
-    tolerance is made positive instead, so the choice stays deterministic.
-    Returns the normalized vector and the flip (+1 or -1) applied.
-    """
-    p = np.asarray(p, dtype=float)
-    v = np.asarray(a0, dtype=float) @ p
-    pivot = float(v[j - 1])
-    thresh = _SIGN_EPS * max(1.0, float(np.abs(v).max()))
-    flip = (1 if pivot > 0 else -1) if abs(pivot) > thresh else _fallback_sign(p)
-    return p * flip, flip
-
-
-def _fallback_sign(p) -> int:
-    """The flip that makes the first entry of p exceeding _SIGN_EPS positive."""
-    for entry in p:
-        if abs(entry) > _SIGN_EPS:
-            return 1 if entry > 0 else -1
-    return 1
-
-
 def _pinned_pivots(c: CompiledRestrictions) -> np.ndarray:
     """Per original column j, whether the document restricts A0[j, j].  The
     pivot (A0 P)_jj is then zero up to rounding, and that rounding must not
@@ -337,14 +314,14 @@ def _build_columns(a0: np.ndarray, aplus: np.ndarray, f: np.ndarray, c: Compiled
         basis = basis @ nxt.swapaxes(1, 2)
 
     # Orient each column by its largest entry (sign_flips must not depend on
-    # an SVD's signs), then sign_normalize all at once.  An accepted column
-    # whose pivot is near zero, or restricted to zero, takes its fallback.
+    # an SVD's signs), then flip p_j so that entry j of A0 p_j is positive;
+    # a column whose pivot is near zero, or restricted to zero, takes the fallback.
     p_mat *= np.sign(np.take_along_axis(p_mat, np.abs(p_mat).argmax(axis=1)[:, None], 1))
     image = a0 @ p_mat
     pivot = np.diagonal(image, axis1=1, axis2=2)
     flips = np.where(pivot > 0, 1, -1)
     weak = np.abs(pivot) <= _SIGN_EPS * np.maximum(1.0, np.abs(image).max(axis=1))
-    # the fallback (_fallback_sign): the sign of the first entry above _SIGN_EPS
+    # the fallback: the sign of the first entry of p_j above _SIGN_EPS
     big = np.abs(p_mat) > _SIGN_EPS
     first = np.take_along_axis(p_mat, big.argmax(axis=1)[:, None], 1)[:, 0]
     weak |= _pinned_pivots(c)
@@ -474,7 +451,7 @@ def _theorem6(f_val: np.ndarray, c: CompiledRestrictions, tol: RankTolerance) ->
     # original coordinates; with an identity permutation this is [I_j 0]
     step, done = np.tril_indices(n)
     stacks[step, q[step] + done, np.array(c.permutation)[done]] = 1.0
-    svals = np.linalg.svd(as_matrix(stacks, stack=True), compute_uv=False)
+    svals = np.linalg.svd(stacks, compute_uv=False)
     # M_j's cutoff counts k + j rows, as if Q_j f were padded to all k rows
     # of f, on purpose: the relative cutoff grows with the row count, so
     # counting M_j's own rows would move the rank decision at borderline

@@ -10,15 +10,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NotSymmetricError, SingularA0Error, SvarIdentError
-from .linalg import (
-    DEFAULT_TOL,
-    RankTolerance,
-    _Record,
-    as_matrix,
-    cholesky_lower,
-    numerical_rank,
-)
+from .errors import NotPositiveDefiniteError, NotSymmetricError, SingularA0Error, SvarIdentError
+from .linalg import DEFAULT_TOL, RankTolerance, _Record, as_matrix, numerical_rank
+
+# Sigma's symmetry test: max|S - S'| may be at most this times max|S|
+_SYM_TOL = 1e-12
 
 
 class ModelDims(_Record):
@@ -38,10 +34,15 @@ class ModelDims(_Record):
         return self.n * self.p + 1
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=float)
-    out.setflags(write=False)
-    return out
+def _admit(a, name: str, shape: tuple[int, int]) -> np.ndarray:
+    """a as a read-only float copy, once it is a finite 2-D matrix of this
+    shape: the one check of a matrix that enters a parameter record."""
+    m = as_matrix(a, name)
+    if m.shape != shape:
+        raise ValueError(f"{name} must be {shape[0]}x{shape[1]}, got {m.shape}")
+    m = np.array(m)
+    m.setflags(write=False)
+    return m
 
 
 class StructuralParams(_Record):
@@ -52,37 +53,26 @@ class StructuralParams(_Record):
     Aplus: np.ndarray
 
     def __post_init__(self):
-        n, m = self.dims.n, self.dims.m
-        a0 = as_matrix(self.A0, "A0")
-        ap = as_matrix(self.Aplus, "Aplus")
-        if a0.shape != (n, n):
-            raise ValueError(f"A0 must be {n}x{n}, got {a0.shape}")
-        if ap.shape != (m, n):
-            raise ValueError(f"Aplus must be {m}x{n}, got {ap.shape}")
-        object.__setattr__(self, "A0", _frozen(a0))
-        object.__setattr__(self, "Aplus", _frozen(ap))
+        n = self.dims.n
+        object.__setattr__(self, "A0", _admit(self.A0, "A0", (n, n)))
+        object.__setattr__(self, "Aplus", _admit(self.Aplus, "Aplus", (self.dims.m, n)))
 
 
 class ReducedFormParams(_Record):
-    """Reduced-form coefficients B and innovation covariance Sigma."""
+    """Reduced-form coefficients B and innovation covariance Sigma (symmetric;
+    baseline_structural refuses it if it does not factor)."""
 
     dims: ModelDims
     B: np.ndarray
     Sigma: np.ndarray
 
     def __post_init__(self):
-        n, m = self.dims.n, self.dims.m
-        b = as_matrix(self.B, "B")
-        s = as_matrix(self.Sigma, "Sigma")
-        if b.shape != (m, n):
-            raise ValueError(f"B must be {m}x{n}, got {b.shape}")
-        if s.shape != (n, n):
-            raise ValueError(f"Sigma must be {n}x{n}, got {s.shape}")
-        scale = float(np.abs(s).max())
-        if scale and float(np.abs(s - s.T).max()) > 1e-12 * scale:
+        n = self.dims.n
+        object.__setattr__(self, "B", _admit(self.B, "B", (self.dims.m, n)))
+        s = _admit(self.Sigma, "Sigma", (n, n))
+        if float(np.abs(s - s.T).max()) > _SYM_TOL * float(np.abs(s).max()):
             raise NotSymmetricError("Sigma must be symmetric")
-        object.__setattr__(self, "B", _frozen(b))
-        object.__setattr__(self, "Sigma", _frozen(s))
+        object.__setattr__(self, "Sigma", s)
 
 
 def _require_invertible(a0: np.ndarray, tol: RankTolerance) -> None:
@@ -106,8 +96,12 @@ def to_reduced_form(s: StructuralParams, tol: RankTolerance = DEFAULT_TOL) -> Re
 
 def _baseline_stack(b: np.ndarray, sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """baseline_structural for stacked reduced forms: (A0, Aplus) of shapes
-    (M, n, n) and (M, m, n) from B (M, m, n) and Sigma (M, n, n)."""
-    low = cholesky_lower(sigma)
+    (M, n, n) and (M, m, n) from B (M, m, n) and symmetric Sigma (M, n, n).
+    A Sigma that is not positive definite is refused here, where it is factored."""
+    try:
+        low = np.linalg.cholesky(sigma)
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefiniteError("matrix is not positive definite (nonpositive pivot)") from exc
     a0 = np.linalg.inv(low.swapaxes(-1, -2))
     return a0, b @ a0
 

@@ -1,6 +1,8 @@
 """Shared test utilities: independent oracles, null-vector helpers and a
 corpus of schemes.
 
+The sign rule's reference (sign_normalize) is the column walk's rule for
+a column whose pivot the document leaves free, written for one column.
 The rank oracle is a hand-rolled one-sided Jacobi SVD so that rank
 agreement tests never share a code path with the package's LAPACK-based
 rank.  The corpus holds restriction documents whose identification status
@@ -16,6 +18,7 @@ from enum import Enum
 
 import numpy as np
 
+from svarident.identify import _SIGN_EPS
 from svarident.linalg import DEFAULT_TOL, RankTolerance, as_matrix
 
 _EPS = float(np.finfo(np.float64).eps)
@@ -169,6 +172,29 @@ def unit_null_vector(m, tol: RankTolerance = DEFAULT_TOL) -> NullVectorResult:
         vec = vec / nrm
     status = NullStatus.UNIQUE if null_dim == 1 else NullStatus.RANK_DEFICIENT
     return NullVectorResult(vec, status, null_dim)
+
+
+def sign_normalize(p, j: int, a0) -> tuple[np.ndarray, int]:
+    """Flip p so that entry j (1-based) of A0 p is positive.
+
+    When that entry is numerically zero the first entry of p exceeding
+    tolerance is made positive instead, so the choice stays deterministic.
+    Returns the normalized vector and the flip (+1 or -1) applied.
+    """
+    p = np.asarray(p, dtype=float)
+    v = np.asarray(a0, dtype=float) @ p
+    pivot = float(v[j - 1])
+    thresh = _SIGN_EPS * max(1.0, float(np.abs(v).max()))
+    flip = (1 if pivot > 0 else -1) if abs(pivot) > thresh else _fallback_sign(p)
+    return p * flip, flip
+
+
+def _fallback_sign(p) -> int:
+    """The flip that makes the first entry of p exceeding _SIGN_EPS positive."""
+    for entry in p:
+        if abs(entry) > _SIGN_EPS:
+            return 1 if entry > 0 else -1
+    return 1
 
 
 def random_orthogonal(n: int, seed: int) -> np.ndarray:

@@ -17,7 +17,6 @@ from svarident.identify import (
     check_exact_identification,
     construct_rotation,
     restricted_point,
-    sign_normalize,
     theorem6_check,
 )
 from svarident.linalg import numerical_rank
@@ -42,6 +41,7 @@ from helpers import (
     q_tilde,
     random_orthogonal,
     rank_test_matrices,
+    sign_normalize,
     spec_text_from_cells,
     unit_null_vector,
 )

@@ -223,10 +223,40 @@ def test_empty_point_path_is_an_io_error(capsys):
                 assert captured.err == f"svar-ident: error: {option} file '': not found\n", (command, argv)
 
 
+def test_rotate_takes_no_draws(capsys):
+    # rotate walks one point (the --sigma/--b point or draw 0), so --draws
+    # is a usage error there, as every option is for demo
+    assert main(["rotate", "--spec", REC3, "--draws", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith("svar-ident: error: unrecognized arguments: --draws 3\n")
+
+
+def test_bad_point_files_are_refused_with_one_message(tmp_path, capsys):
+    # each --sigma/--b file is checked once, where its record is built (a
+    # Sigma that does not factor, where it is factored), with one message
+    for i, (option, text, reason) in enumerate((
+        ("--sigma", "1 0.5 0\n0 1 0\n0 0 1\n", "Sigma must be symmetric"),
+        ("--sigma", "1 0 0\n0 nan 0\n0 0 1\n", "Sigma has non-finite entries"),
+        ("--sigma", "1 2 0\n2 1 0\n0 0 1\n", "matrix is not positive definite (nonpositive pivot)"),
+        ("--sigma", "1 0\n0 1\n", "Sigma in {path} must be 3x3, got (2, 2)"),
+        ("--b", "0 0 0\n0 nan 0\n0 0 0\n0 0 0\n", "B has non-finite entries"),
+    )):
+        path = tmp_path / f"point{i}.txt"
+        path.write_text(text, encoding="utf-8")
+        for command in ("check", "explain", "rotate"):
+            for fmt in ("text", "json"):
+                code = main([command, "--spec", REC3, option, str(path), "--format", fmt])
+                captured = capsys.readouterr()
+                assert (code, captured.out) == (1, ""), (option, text, command, fmt)
+                assert captured.err == f"svar-ident: error: {reason.format(path=path)}\n", (command, fmt)
+
+
 def test_invalid_tolerance_is_a_usage_error(capsys):
     # an infinite cutoff would call every column rank 0 and report an
-    # identified scheme as redundant
-    for tol in ("-1", "nan", "inf"):
+    # identified scheme as redundant; a zero cutoff would count every
+    # rounding error as rank and report a redundant scheme as identified
+    for tol in ("-1", "nan", "inf", "0"):
         for command in ("check", "explain", "rotate"):
             assert main([command, "--spec", REC3, "--tol", tol]) == 1, (command, tol)
             captured = capsys.readouterr()
@@ -308,10 +338,11 @@ def test_each_point_is_walked_once(monkeypatch, capsys):
     seed0 = np.random.default_rng(0).bit_generator.state["state"]
     monkeypatch.setattr(identify, "_build_columns", counting)
     for spec in (CEX, REC3):
-        for command, walked in (("check", [(7, seed0)]), ("explain", [(7, None)]),
-                                ("rotate", [(1, seed0)])):
+        for command, draws, walked in (("check", ["--draws", "7"], [(7, seed0)]),
+                                       ("explain", ["--draws", "7"], [(7, None)]),
+                                       ("rotate", [], [(1, seed0)])):
             walks.clear()
-            main([command, "--spec", spec, "--draws", "7", "--format", "json"])
+            main([command, "--spec", spec, *draws, "--format", "json"])
             assert walks == walked, (spec, command)
         walks.clear()
         report = check_exact_identification(parse_spec(Path(spec).read_text()), draws=7)

@@ -25,7 +25,6 @@ from svarident.identify import (
     nonredundancy_at,
     redundancy_explanation,
     restricted_point,
-    sign_normalize,
     theorem6_check,
 )
 from svarident import identify, linalg, restrictions
@@ -52,6 +51,7 @@ from helpers import (
     mixed_rows_null_solver,
     q_tilde,
     scipy_null_solver,
+    sign_normalize,
     spec_text_from_cells,
     svd_rank_null,
     unit_null_vector,

@@ -1,13 +1,17 @@
-"""Kernel-level tests: Cholesky, rank decisions, null vectors, orthogonal draws."""
+"""Kernel-level tests: Sigma's Cholesky factor (taken in baseline_structural),
+rank decisions, null vectors, orthogonal draws."""
 
 from __future__ import annotations
+
+import re
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from svarident.errors import NotPositiveDefiniteError, NotSymmetricError
-from svarident.linalg import DEFAULT_TOL, RankTolerance, cholesky_lower, numerical_rank
+from svarident.errors import NotPositiveDefiniteError
+from svarident.linalg import DEFAULT_TOL, RankTolerance, numerical_rank
+from svarident.model import ModelDims, ReducedFormParams, baseline_structural
 
 from helpers import (
     NullStatus,
@@ -19,13 +23,21 @@ from helpers import (
 )
 
 
+def _baseline_a0(sigma) -> np.ndarray:
+    """A0 of baseline_structural at Sigma = sigma (p = 0, B = 0): (L')^{-1}
+    for L the lower Cholesky factor of sigma."""
+    n = len(sigma)
+    return baseline_structural(ReducedFormParams(ModelDims(n, 0), np.zeros((1, n)), sigma)).A0
+
+
 def test_cholesky_known_factor():
-    low = cholesky_lower([[4.0, 2.0], [2.0, 5.0]])
-    assert_allclose(low, [[2.0, 0.0], [1.0, 2.0]], rtol=0, atol=1e-14)
+    # Sigma = L L' with L = [[2, 0], [1, 2]]: A0 = (L')^{-1}
+    a0 = _baseline_a0([[4.0, 2.0], [2.0, 5.0]])
+    assert_allclose(a0, [[0.5, -0.25], [0.0, 0.5]], rtol=0, atol=1e-14)
 
 
 def test_cholesky_identity_exact():
-    assert np.array_equal(cholesky_lower(np.eye(4)), np.eye(4))
+    assert np.array_equal(_baseline_a0(np.eye(4)), np.eye(4))
 
 
 def test_cholesky_roundtrip_random():
@@ -34,26 +46,18 @@ def test_cholesky_roundtrip_random():
         n = int(rng.integers(1, 8))
         a = rng.standard_normal((n, n))
         spd = a @ a.T + n * np.eye(n)
-        low = cholesky_lower(spd)
-        assert_allclose(low @ low.T, spd, rtol=0, atol=1e-10)
-        assert np.all(np.triu(low, 1) == 0.0)
-
-
-def test_cholesky_rejects_asymmetric():
-    with pytest.raises(NotSymmetricError):
-        cholesky_lower([[1.0, 0.5], [0.0, 1.0]])
+        a0 = _baseline_a0(spd)
+        assert_allclose(a0 @ a0.T @ spd, np.eye(n), rtol=0, atol=1e-10)  # A0 A0' = Sigma^{-1}
+        assert np.all(np.tril(a0, -1) == 0.0)
+        assert np.all(np.diag(a0) > 0.0)
 
 
 def test_cholesky_rejects_indefinite():
-    with pytest.raises(NotPositiveDefiniteError):
-        cholesky_lower([[1.0, 2.0], [2.0, 1.0]])
-    with pytest.raises(NotPositiveDefiniteError):
-        cholesky_lower([[-1.0, 0.0], [0.0, 2.0]])
-
-
-def test_cholesky_non_square():
-    with pytest.raises(ValueError):
-        cholesky_lower(np.zeros((2, 3)))
+    # refused where Sigma is factored, with the message the CLI prints
+    message = re.escape("matrix is not positive definite (nonpositive pivot)")
+    for sigma in ([[1.0, 2.0], [2.0, 1.0]], [[-1.0, 0.0], [0.0, 2.0]]):
+        with pytest.raises(NotPositiveDefiniteError, match=f"^{message}$"):
+            _baseline_a0(sigma)
 
 
 def test_rank_tolerance_validation():
@@ -63,7 +67,7 @@ def test_rank_tolerance_validation():
         RankTolerance(policy="absolute")
     with pytest.raises(ValueError):
         RankTolerance(value=-1.0)
-    for bad in (np.inf, -np.inf, np.nan):
+    for bad in (0.0, np.inf, -np.inf, np.nan):
         with pytest.raises(ValueError):
             RankTolerance(policy="absolute", value=bad)
         with pytest.raises(ValueError):

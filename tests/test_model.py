@@ -7,7 +7,6 @@ import pytest
 from numpy.testing import assert_allclose
 
 from svarident.errors import NotSymmetricError, SingularA0Error
-from svarident.linalg import cholesky_lower
 from svarident.model import (
     ModelDims,
     ReducedFormParams,
@@ -63,12 +62,16 @@ def test_param_shapes_checked():
         StructuralParams(dims, np.eye(2), np.zeros((2, 2)))
     with pytest.raises(ValueError):
         ReducedFormParams(dims, np.zeros((3, 2)), np.eye(3))
+    with pytest.raises(ValueError, match=r"^Sigma must be 2x2, got \(2, 3\)$"):
+        ReducedFormParams(dims, np.zeros((3, 2)), np.zeros((2, 3)))
 
 
 def test_sigma_symmetry_enforced():
     dims = ModelDims(2, 0)
     with pytest.raises(NotSymmetricError):
         ReducedFormParams(dims, np.zeros((1, 2)), np.array([[1.0, 0.3], [0.0, 1.0]]))
+    with pytest.raises(NotSymmetricError, match="^Sigma must be symmetric$"):
+        ReducedFormParams(dims, np.zeros((1, 2)), [[1.0, 0.5], [0.0, 1.0]])
 
 
 def test_params_immutable():
@@ -130,7 +133,7 @@ def test_baseline_matches_triangular_solve_oracle(n):
     cfg = SamplerConfig(dims=ModelDims(n, 2), seed=7)
     for idx in range(10):
         r = draw_reduced_form(cfg, idx)
-        low = cholesky_lower(r.Sigma)
+        low = np.linalg.cholesky(r.Sigma)
         a0 = scipy_linalg.solve_triangular(low, np.eye(n), lower=True).T
         s = baseline_structural(r)
         for got, want in ((s.A0, a0), (s.Aplus, r.B @ a0)):

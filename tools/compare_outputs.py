@@ -9,7 +9,9 @@ seeds 1-8, each at draw seeds (`--seed`) 11 and 12; the n = 3 documents
 also at the explicit point `--sigma specs/sigma_eye3.txt` and under an
 absolute `--tol 1e-9`.  It runs `demo`, and the error paths of
 `check`, `explain` and `rotate`: no `--spec`, a missing file, `--sigma
-""`, `--tol nan`, `--draws 1` and a malformed document, and `rotate` on
+""`, `--tol nan`, `--tol 0`, `--draws 1`, a malformed document, and
+`--sigma` files that are asymmetric, hold a NaN, are indefinite or have
+the wrong shape and a `--b` file with a NaN, and `rotate` on
 specs/overcounted3.spec.  It also renders walk-large's api-check JSON
 reports (`bench/ops.py` `run_api_check`), and walks walk-large's dense-Q
 api ops (`bench/ops.py` `run_api`: `nonredundancy_at` at each of the
@@ -77,11 +79,21 @@ def cases(work: Path) -> list[dict]:
     malformed = work / "malformed.spec"
     malformed.write_text("n = 3\np = 1\nblock A0\nx x\n", encoding="utf-8")
     rec3 = str(ROOT / "specs" / "recursive3.spec")
+    bad_points = []  # one file per message of the point's checks, for recursive3
+    for name, option, text in (
+            ("asymmetric", "--sigma", "1 0.5 0\n0 1 0\n0 0 1\n"),
+            ("nan", "--sigma", "1 0 0\n0 nan 0\n0 0 1\n"),
+            ("indefinite", "--sigma", "1 2 0\n2 1 0\n0 0 1\n"),
+            ("shape", "--sigma", "1 0\n0 1\n"),
+            ("nan", "--b", "0 0 0\n0 nan 0\n0 0 0\n0 0 0\n")):
+        path = work / f"{option[2:]}-{name}.txt"
+        path.write_text(text, encoding="utf-8")
+        bad_points.append(["--spec", rec3, option, str(path)])
     for command in ("check", "explain", "rotate"):
         out += [{"argv": [command, *argv]} for argv in (
             [], ["--spec", str(work / "missing.spec")], ["--spec", rec3, "--sigma", ""],
-            ["--spec", rec3, "--tol", "nan"], ["--spec", rec3, "--draws", "1"],
-            ["--spec", str(malformed)])]
+            ["--spec", rec3, "--tol", "nan"], ["--spec", rec3, "--tol", "0"],
+            ["--spec", rec3, "--draws", "1"], ["--spec", str(malformed)], *bad_points)]
     out.append({"argv": ["rotate", "--spec", str(ROOT / "specs" / "overcounted3.spec")]})
     for seed in WALK_LARGE_SEEDS:
         sub = work / f"walk_large-{seed}"
