@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from svarident.errors import NotPositiveDefiniteError
+from svarident.errors import NotPositiveDefiniteError, NotSymmetricError
 from svarident.linalg import DEFAULT_TOL, RankTolerance, numerical_rank
 from svarident.model import ModelDims, ReducedFormParams, baseline_structural
 
@@ -52,12 +52,23 @@ def test_cholesky_roundtrip_random():
         assert np.all(np.diag(a0) > 0.0)
 
 
+def test_cholesky_rejects_asymmetric():
+    # Sigma's symmetry is checked where it enters ReducedFormParams
+    with pytest.raises(NotSymmetricError, match="^Sigma must be symmetric$"):
+        _baseline_a0([[1.0, 0.5], [0.0, 1.0]])
+
+
 def test_cholesky_rejects_indefinite():
     # refused where Sigma is factored, with the message the CLI prints
     message = re.escape("matrix is not positive definite (nonpositive pivot)")
     for sigma in ([[1.0, 2.0], [2.0, 1.0]], [[-1.0, 0.0], [0.0, 2.0]]):
         with pytest.raises(NotPositiveDefiniteError, match=f"^{message}$"):
             _baseline_a0(sigma)
+
+
+def test_cholesky_non_square():
+    with pytest.raises(ValueError, match=r"^Sigma must be 2x2, got \(2, 3\)$"):
+        _baseline_a0(np.zeros((2, 3)))
 
 
 def test_rank_tolerance_validation():
