@@ -17,14 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InfeasibleRestrictionsError, SpecError, SvarIdentError
-from .identify import (
-    Verdict,
-    _check,
-    _picked,
-    check_exact_identification,
-    count_condition,
-    theorem6_check,
-)
+from .identify import Verdict, _check, _picked, _theorem6, _walk_at, count_condition
 from .linalg import DEFAULT_TOL, RankTolerance
 from .model import ModelDims, ReducedFormParams
 from .restrictions import (
@@ -33,6 +26,7 @@ from .restrictions import (
     restriction_residual,
 )
 from .report import (
+    _implicated_dicts,
     check_report_dict,
     check_report_text,
     format_matrix,
@@ -134,15 +128,8 @@ def _cmd_explain(args) -> int:
     report = _check(c, tol, r, cfg, args.draws, cross_check=False)  # it prints no cross-check
     verdict = report.verdict
     if args.format == "json":
-        payload = {
-            "command": "explain",
-            "spec": args.spec,
-            "verdict": verdict.value,
-            "implicated": [
-                {"cell": c.cell, "column": c.column, "implied_by": list(c.implied_by)}
-                for c in report.implicated
-            ],
-        }
+        payload = {"command": "explain", "spec": args.spec, "verdict": verdict.value,
+                   "implicated": _implicated_dicts(report)}
         sys.stdout.write(render_json(payload))
     else:
         lines = ["svar-ident explain", f"spec: {args.spec}"]
@@ -201,8 +188,8 @@ def _cmd_demo(args) -> int:
     c = compile_spec(spec)
     dims = spec.dims
     r = ReducedFormParams(dims, np.zeros((dims.m, dims.n)), np.eye(dims.n))
-    # one walk gives f, the ranks, p1 and the restricted point for the cross-check
-    walk, s_rot = _picked(r, c, DEFAULT_TOL, 0)
+    # one walk gives f, the ranks, p1 and, as F = f P, the cross-check's restricted point
+    walk = _walk_at(r, c, DEFAULT_TOL, np.random.default_rng(0))  # PICK_ARBITRARY, pick seed 0
     f_val, rot = walk.f, walk.rotation
     first, second = rot.per_column[:2]
 
@@ -231,7 +218,7 @@ def _cmd_demo(args) -> int:
         "the impact restriction is implied by the A0 zeros\n"
     )
 
-    t6 = theorem6_check(s_rot, c, spec)
+    t6 = _theorem6(f_val @ rot.P, c, DEFAULT_TOL)
     out.write("\nrank cross-check at a restricted point:\n")
     for t, rank in enumerate(t6.ranks):
         mark = "" if rank == dims.n else f"  < {dims.n}"
@@ -240,7 +227,7 @@ def _cmd_demo(args) -> int:
         f"counting total {t6.total} matches {t6.required}, but the rank test fails\n"
     )
 
-    report = check_exact_identification(spec, draws=10, seed=0)
+    report = _check(c, DEFAULT_TOL, cfg=SamplerConfig(dims=dims, seed=0), draws=10, cross_check=False)
     out.write(f"\nverdict over M = 10 sampled draws: {report.verdict.value}\n")
     return 0
 

@@ -1,4 +1,5 @@
-"""Built-in restriction documents used by the demo and the test suite."""
+"""The built-in restriction document that demo walks through (the test
+suite reads it too)."""
 
 from __future__ import annotations
 
@@ -21,17 +22,3 @@ x 0 x
 x x x
 x x x
 """
-
-
-def recursive_spec_text(n: int, p: int = 1) -> str:
-    """Recursive (triangular) scheme on A0: zeros strictly below the diagonal."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    rows = []
-    for i in range(n):
-        rows.append(" ".join("0" if i > j else "x" for j in range(n)))
-    grid = "\n".join(rows)
-    return (
-        f"# recursive ordering on A0 for n = {n}\n"
-        f"n = {n}\np = {p}\n\nblock A0\n{grid}\n"
-    )

@@ -107,9 +107,9 @@ class RankTolerance(_Record):
     policy "relative": cutoff = value * sigma_max, with value defaulting to
     max(rows, cols) * machine epsilon (the conventional rank rule).
     policy "absolute": cutoff = value, which must be supplied.
-    A value must be finite and positive: an infinite cutoff would call
-    every matrix rank 0, and a zero cutoff would count every rounding
-    error as rank.
+    Under either policy the cutoff is at least the default one: a smaller
+    cutoff would count rounding errors as rank.  A value must be finite
+    and positive: an infinite cutoff would call every matrix rank 0.
     """
 
     policy: str = "relative"
@@ -124,11 +124,12 @@ class RankTolerance(_Record):
             raise ValueError("tolerance value must be finite and positive")
 
     def resolve(self, shape: tuple[int, int], sigma_max):
-        """The cutoff against reference sigma_max (an array gives one each)."""
-        if self.policy == "absolute":
-            return float(self.value)
-        factor = self.value if self.value is not None else max(shape) * _EPS
-        return factor * sigma_max
+        """The cutoff against reference sigma_max (an array gives one each),
+        never below the default max(shape) * eps * sigma_max."""
+        floor = max(shape) * _EPS * sigma_max
+        if self.value is None:
+            return floor
+        return np.maximum(self.value if self.policy == "absolute" else self.value * sigma_max, floor)
 
 
 DEFAULT_TOL = RankTolerance()

@@ -15,6 +15,9 @@ from .linalg import DEFAULT_TOL, RankTolerance, _Record, as_matrix, numerical_ra
 
 # Sigma's symmetry test: max|S - S'| may be at most this times max|S|
 _SYM_TOL = 1e-12
+# the least value of each dimension, and the message that refuses a lower
+# one: ModelDims raises it as a ValueError, parse_spec at its line
+_FLOORS = {"n": (1, "n must be at least 1"), "p": (0, "p must be nonnegative")}
 
 
 class ModelDims(_Record):
@@ -24,10 +27,9 @@ class ModelDims(_Record):
     p: int
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be at least 1")
-        if self.p < 0:
-            raise ValueError("p must be nonnegative")
+        for name, (floor, message) in _FLOORS.items():
+            if getattr(self, name) < floor:
+                raise ValueError(message)
 
     @property
     def m(self) -> int:
@@ -122,23 +124,13 @@ def baseline_structural(r: ReducedFormParams) -> StructuralParams:
     return StructuralParams(r.dims, a0[0], aplus[0])
 
 
-def _companion(b: np.ndarray, n: int, p: int) -> np.ndarray:
-    # state (y_t, ..., y_{t-p+1}); top block row holds the lag matrices
-    f = np.zeros((n * p, n * p))
-    for lag in range(p):
-        f[:n, lag * n:(lag + 1) * n] = b[lag * n:(lag + 1) * n, :].T
-    if p > 1:
-        f[n:, : n * (p - 1)] = np.eye(n * (p - 1))
-    return f
-
-
 def _impulse_responses(a0: np.ndarray, aplus, horizons, p: int, tol: RankTolerance) -> list[np.ndarray]:
     """Structural impulse responses of stacked points (A0 (M, n, n), Aplus
     (M, m, n)) at each horizon, one (M, n, n) array per horizon.
 
     Each point's A0 is rank-checked and inverted once, and B is solved for
-    and its companion matrix built once, for all horizons; the companion
-    powers are taken point by point, so no stacked (M, np, np) array is
+    and the companion matrices built once, for all horizons; the companion
+    powers are taken point by point, so no stacked (M, np, np) power is
     held.  Horizon 0 is (A0^{-1})'; later horizons premultiply by the
     reduced-form moving-average coefficient.  With p = 0 every h >= 1 is 0.
     A response that overflows (a long horizon of an explosive B) is
@@ -149,16 +141,15 @@ def _impulse_responses(a0: np.ndarray, aplus, horizons, p: int, tol: RankToleran
     _require_invertible(a0, tol)
     ir0 = np.linalg.inv(a0).swapaxes(-1, -2)
     n = a0.shape[-1]
-    later = [h for h in horizons if h > 0]
     with np.errstate(over="ignore", invalid="ignore"):
-        if later and p > 0:
-            b = np.linalg.solve(a0.swapaxes(-1, -2), aplus.swapaxes(-1, -2)).swapaxes(-1, -2)
-            psi = np.empty((len(later), len(a0), n, n))
-            for i, b_i in enumerate(b):
-                comp = _companion(b_i, n, p)
-                for j, h in enumerate(later):
-                    psi[j, i] = np.linalg.matrix_power(comp, h)[:n, :n]
-        irs = [ir0 if h == 0 else (psi[later.index(h)] @ ir0 if p else np.zeros_like(ir0))
+        if p and any(horizons):
+            b_t = np.linalg.solve(a0.swapaxes(-1, -2), aplus.swapaxes(-1, -2))  # B' of each point
+            # state (y_t, ..., y_{t-p+1}): B's lag rows transposed on top, the identity below
+            eye = np.eye(n * (p - 1), n * p)
+            comp = np.concatenate([b_t[:, :, :n * p], np.broadcast_to(eye, (len(b_t), *eye.shape))], axis=1)
+        # each n x n block is copied out, so that its point's whole power is freed at once
+        irs = [ir0 if h == 0 else np.zeros_like(ir0) if not p else
+               np.stack([np.linalg.matrix_power(c_i, h)[:n, :n].copy() for c_i in comp]) @ ir0
                for h in horizons]
     if not all(np.isfinite(ir).all() for ir in irs):
         raise SvarIdentError("f is not finite: an impulse-response block overflows")

@@ -19,11 +19,11 @@ from .identify import (
 )
 
 
-def format_matrix(m: np.ndarray, indent: str = "  ") -> str:
+def format_matrix(m: np.ndarray) -> str:
     body = np.array2string(
         np.asarray(m, dtype=float), precision=6, suppress_small=True, max_line_width=120
     )
-    return "\n".join(indent + line for line in body.splitlines())
+    return "\n".join("  " + line for line in body.splitlines())
 
 
 def format_vector(v: np.ndarray) -> str:
@@ -44,6 +44,12 @@ def _column_dict(d) -> dict:
         "required": d.required_rank,
         "status": d.status_label,
     }
+
+
+def _implicated_dicts(report: IdentificationReport) -> list[dict]:
+    """The implicated cells as check's and explain's JSON list them."""
+    return [{"cell": cell.cell, "column": cell.column, "implied_by": list(cell.implied_by)}
+            for cell in report.implicated]
 
 
 def check_report_dict(
@@ -77,10 +83,7 @@ def check_report_dict(
     if theorem6 is not None:
         out["theorem6"] = {"ranks": list(theorem6.ranks), "pass": theorem6.passed}
     if report.implicated:
-        out["implicated"] = [
-            {"cell": cell.cell, "column": cell.column, "implied_by": list(cell.implied_by)}
-            for cell in report.implicated
-        ]
+        out["implicated"] = _implicated_dicts(report)
     out["verdict"] = report.verdict.value
     return out
 
@@ -219,14 +222,15 @@ def rotation_report_dict(
     rot: RotationResult,
     spec_name: str,
     source: str,
-    residual: float | None,
-    rotated: tuple[np.ndarray, np.ndarray] | None,
+    residual: float,
+    rotated: tuple[np.ndarray, np.ndarray],
     n: int,
     p: int,
     q: tuple[int, ...],
     permutation: tuple[int, ...],
 ) -> dict:
-    out = {
+    """rotate's JSON for a constructed rotation (PICK_ARBITRARY: P is never None)."""
+    return {
         "command": "rotate",
         "spec": spec_name,
         "n": n,
@@ -237,33 +241,29 @@ def rotation_report_dict(
         "columns": [_column_dict(d) for d in rot.per_column],
         "sign_flips": list(rot.sign_flips),
         "unique": rot.unique,
+        "P": rot.P.tolist(),
+        "residual": residual,
+        "A0P": rotated[0].tolist(),
+        "AplusP": rotated[1].tolist(),
     }
-    if rot.P is not None:
-        out["P"] = rot.P.tolist()
-        out["residual"] = residual
-        out["A0P"] = rotated[0].tolist()
-        out["AplusP"] = rotated[1].tolist()
-    return out
 
 
 def rotation_report_text(
     rot: RotationResult,
     spec_name: str,
     source: str,
-    residual: float | None,
-    rotated: tuple[np.ndarray, np.ndarray] | None,
+    residual: float,
+    rotated: tuple[np.ndarray, np.ndarray],
     n: int,
     p: int,
 ) -> str:
+    """rotate's text for a constructed rotation (PICK_ARBITRARY: P is never None)."""
     lines = [f"spec: {spec_name}", f"n = {n}, p = {p}", f"reduced form: {source}"]
     for d in rot.per_column:
         lines.append(
             f"  column {d.j} (original {d.original_column}): "
             f"rank {d.rank}/{d.required_rank} {d.status_label}"
         )
-    if rot.P is None:
-        lines.append("no rotation constructed (aborted on a rank-deficient column)")
-        return "\n".join(lines) + "\n"
     if not rot.unique:
         lines.append(
             "WARNING: rotation is NOT unique; rank-deficient columns were filled "

@@ -21,14 +21,12 @@ from .errors import (
     UnknownBlockError,
 )
 from .linalg import DEFAULT_TOL, RankTolerance, _Record, as_matrix, numerical_rank
-from .model import ModelDims, StructuralParams, _impulse_responses
+from .model import _FLOORS, ModelDims, StructuralParams, _impulse_responses
 
 _BLOCK_RE = re.compile(r"A0|(LAG|IR)([0-9]+)")
 _ASSIGN_RE = re.compile(r"^(n|p)\s*=\s*(\S+)$")
 # the integers `n =` and `p =` take: ASCII digits, as in block names, and a sign
 _INT_RE = re.compile(r"[+-]?[0-9]+")
-# the least value of each dimension, and the message that refuses a lower one
-_FLOORS = {"n": (1, "n must be at least 1"), "p": (0, "p must be nonnegative")}
 
 
 class BlockId(_Record):

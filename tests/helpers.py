@@ -241,6 +241,20 @@ class CorpusEntry:
     n: int
 
 
+def recursive_spec_text(n: int, p: int = 1) -> str:
+    """Recursive (triangular) scheme on A0: zeros strictly below the diagonal."""
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    rows = []
+    for i in range(n):
+        rows.append(" ".join("0" if i > j else "x" for j in range(n)))
+    grid = "\n".join(rows)
+    return (
+        f"# recursive ordering on A0 for n = {n}\n"
+        f"n = {n}\np = {p}\n\nblock A0\n{grid}\n"
+    )
+
+
 def spec_text_from_cells(n: int, p: int, zero_cells: dict[str, set[tuple[int, int]]]) -> str:
     """Render a restriction document from 1-based (row, col) zero cells per block."""
     lines = [f"n = {n}", f"p = {p}", ""]

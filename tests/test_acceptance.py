@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 
-from svarident.fixtures import COUNTEREXAMPLE, recursive_spec_text
+from svarident.fixtures import COUNTEREXAMPLE
 from svarident.identify import (
     OnRedundancy,
     Verdict,
@@ -41,6 +41,7 @@ from helpers import (
     q_tilde,
     random_orthogonal,
     rank_test_matrices,
+    recursive_spec_text,
     sign_normalize,
     spec_text_from_cells,
     unit_null_vector,

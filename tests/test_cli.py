@@ -15,7 +15,13 @@ import pytest
 from svarident import cli, identify
 from svarident.cli import main
 from svarident.errors import UnrestrictedPointError
-from svarident.identify import Verdict, check_exact_identification, restricted_point, theorem6_check
+from svarident.identify import (
+    Verdict,
+    check_exact_identification,
+    nonredundancy_at,
+    restricted_point,
+    theorem6_check,
+)
 from svarident.report import check_report_dict, verdict_exit_code
 from svarident.restrictions import compile_spec, parse_spec
 from svarident.sampler import SamplerConfig, draw_reduced_form
@@ -188,6 +194,30 @@ def test_demo_walkthrough(capsys):
     assert "NotIdentified_Redundancy" in out
 
 
+def test_demo_reads_its_own_walk(monkeypatch, capsys):
+    # the cross-check ranks F = f P of the walk demo prints, and the verdict
+    # over ten draws runs none of its own: one cross-check, and f assembled
+    # once for the fixture's point and once for the draws
+    calls, assembled = [], []
+    cross, assemble = identify._theorem6, identify._assemble_stack
+
+    def counting_cross(*args):
+        calls.append(args)
+        return cross(*args)
+
+    def counting_assemble(a0, *args):
+        assembled.append(len(a0))
+        return assemble(a0, *args)
+
+    monkeypatch.setattr(identify, "_theorem6", counting_cross)
+    monkeypatch.setattr(cli, "_theorem6", counting_cross)
+    monkeypatch.setattr(identify, "_assemble_stack", counting_assemble)
+    assert main(["demo"]) == 0
+    assert "rank(M2) = 2  < 3" in capsys.readouterr().out
+    assert len(calls) == 1
+    assert assembled == [1, 10]
+
+
 def test_demo_takes_no_options(capsys):
     # demo reads none of the other commands' options, so each one is a usage error
     for argv in (["--spec", CEX], ["--draws", "3"], ["--seed", "9"], ["--sigma", SIGMA_EYE],
@@ -262,6 +292,37 @@ def test_invalid_tolerance_is_a_usage_error(capsys):
             captured = capsys.readouterr()
             assert captured.out == ""
             assert captured.err.startswith("svar-ident: error: tolerance"), (command, tol)
+
+
+def test_cutoff_below_the_default_is_the_default(capsys):
+    # a cutoff under the rounding level would count rounding errors as rank
+    # and call the counterexample identified; it is raised to the default
+    for fmt in ("text", "json"):
+        assert main(["check", "--spec", CEX, "--format", fmt]) == 2
+        default = capsys.readouterr().out
+        assert main(["check", "--spec", CEX, "--tol", "1e-300", "--format", fmt]) == 2
+        assert capsys.readouterr().out == default, fmt
+
+
+def test_explain_reports_disagreeing_draws(capsys):
+    # an absolute cutoff between the smallest singular values of --seed 5's
+    # draws stops some of them early and not others (see test_walk)
+    spec = parse_spec(Path(REC3).read_text(encoding="utf-8"))
+    c = compile_spec(spec)
+    cfg = SamplerConfig(dims=spec.dims, seed=5)
+    smallest = []
+    for i in range(5):
+        per_column = nonredundancy_at(draw_reduced_form(cfg, i), c, spec).per_column
+        smallest.append(min(d.singular_values[-1] for d in per_column if d.singular_values))
+    tol = float(np.sqrt(min(smallest) * max(smallest)))
+    argv = ["explain", "--spec", REC3, "--seed", "5", "--tol", repr(tol)]
+    assert main(argv) == 3
+    assert capsys.readouterr().out == (
+        f"svar-ident explain\nspec: {REC3}\ndraws disagree; verdict is inconclusive\n")
+    assert main([*argv, "--format", "json"]) == 3
+    assert capsys.readouterr().out == json.dumps({
+        "command": "explain", "spec": REC3, "verdict": "Inconclusive_DrawDisagreement",
+        "implicated": []}, indent=2) + "\n"
 
 
 def test_cutoff_above_every_singular_value_names_no_cell(capsys):
@@ -450,6 +511,16 @@ def test_module_entrypoint():
     code, out, _ = run_cli("check", "--spec", CEX)
     assert code == 2
     assert "NotIdentified_Redundancy" in out
+
+
+def test_entry_exits_with_the_code_of_main(monkeypatch, capsys):
+    # the console script's target, in process: test_console_script below
+    # skips where the script is not on PATH
+    monkeypatch.setattr(sys, "argv", ["svar-ident", "demo"])
+    with pytest.raises(SystemExit) as exc:
+        cli.entry()
+    assert exc.value.code == 0
+    assert "p1 = (1, 0, 0)" in capsys.readouterr().out
 
 
 @pytest.mark.skipif(shutil.which("svar-ident") is None, reason="script not on PATH")

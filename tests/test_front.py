@@ -11,14 +11,14 @@ import pytest
 
 from svarident.cli import main
 from svarident.errors import NotPositiveDefiniteError, SingularA0Error, SvarIdentError
-from svarident.fixtures import COUNTEREXAMPLE, recursive_spec_text
+from svarident.fixtures import COUNTEREXAMPLE
 from svarident.identify import _front, _sampled, check_exact_identification, theorem6_check
 from svarident.linalg import DEFAULT_TOL, RankTolerance, numerical_rank
 from svarident.model import baseline_structural, ir_horizon
 from svarident.restrictions import assemble_f, compile_spec, parse_spec, restriction_residual
 from svarident.sampler import SamplerConfig, draw_reduced_form, stream_key
 
-from helpers import spec_text_from_cells
+from helpers import recursive_spec_text, spec_text_from_cells
 
 
 def reference_draw(cfg, index):

@@ -12,7 +12,7 @@ from svarident.errors import (
     SingularA0Error,
     UnrestrictedPointError,
 )
-from svarident.fixtures import COUNTEREXAMPLE, recursive_spec_text
+from svarident.fixtures import COUNTEREXAMPLE
 from svarident.identify import (
     ColumnDiagnostic,
     ColumnStatus,
@@ -50,6 +50,7 @@ from helpers import (
     corpus,
     mixed_rows_null_solver,
     q_tilde,
+    recursive_spec_text,
     scipy_null_solver,
     sign_normalize,
     spec_text_from_cells,

@@ -86,6 +86,17 @@ def test_rank_tolerance_validation():
     assert RankTolerance(policy="absolute", value=0.5).resolve((3, 3), 100.0) == 0.5
 
 
+def test_cutoff_is_never_below_the_default():
+    # a smaller cutoff would count rounding errors as rank
+    default = DEFAULT_TOL.resolve((3, 3), 100.0)
+    assert default == 3 * float(np.finfo(float).eps) * 100.0
+    assert RankTolerance("absolute", 1e-300).resolve((3, 3), 100.0) == default
+    assert RankTolerance("relative", 1e-300).resolve((3, 3), 100.0) == default
+    floors = DEFAULT_TOL.resolve((3, 3), np.array([[0.0], [1.0], [1e20]]))
+    cutoffs = RankTolerance("absolute", 1e-9).resolve((3, 3), np.array([[0.0], [1.0], [1e20]]))
+    assert cutoffs.tolist() == [[1e-9], [1e-9], [floors[2, 0]]]
+
+
 def test_rank_basic_cases():
     assert numerical_rank(np.zeros((3, 3))) == 0
     assert numerical_rank(np.eye(5)) == 5

@@ -7,10 +7,12 @@ import pytest
 from numpy.testing import assert_allclose
 
 from svarident.errors import NotSymmetricError, SingularA0Error
+from svarident.linalg import DEFAULT_TOL
 from svarident.model import (
     ModelDims,
     ReducedFormParams,
     StructuralParams,
+    _impulse_responses,
     baseline_structural,
     ir_horizon,
     to_reduced_form,
@@ -170,6 +172,35 @@ def test_ir_horizon_against_recursion_oracle():
                 assert_allclose(
                     ir_horizon(s, h), psis[h] @ ir0, rtol=1e-8, atol=1e-8
                 )
+
+
+def companion_by_blocks(b, n, p):
+    """One point's companion matrix, filled block by block: state (y_t, ...,
+    y_{t-p+1}), the lag matrices transposed on the top block row, the
+    identity below."""
+    comp = np.zeros((n * p, n * p))
+    for lag in range(p):
+        comp[:n, lag * n:(lag + 1) * n] = b[lag * n:(lag + 1) * n, :].T
+    comp[n:, :n * (p - 1)] = np.eye(n * (p - 1))
+    return comp
+
+
+def test_stacked_responses_equal_one_point_companion_powers():
+    # the companion matrices of a stack are built in one assignment; the
+    # responses must equal, bit for bit, each point's powers of its
+    # block-by-block companion matrix
+    rng = np.random.default_rng(23)
+    for m, n, p in ((1, 3, 1), (5, 3, 2), (4, 6, 3), (3, 5, 4), (6, 2, 5)):
+        a0 = rng.standard_normal((m, n, n)) + 3.0 * np.eye(n)
+        aplus = 0.3 * rng.standard_normal((m, n * p + 1, n)) / np.sqrt(n * p)
+        horizons = [0, 1, 2, 7]
+        irs = _impulse_responses(a0, aplus, horizons, p, DEFAULT_TOL)
+        for i in range(m):
+            ir0 = np.linalg.inv(a0[i]).T
+            comp = companion_by_blocks(np.linalg.solve(a0[i].T, aplus[i].T).T, n, p)
+            for h, ir in zip(horizons, irs):
+                expected = np.linalg.matrix_power(comp, h)[:n, :n] @ ir0 if h else ir0
+                assert np.array_equal(ir[i], expected), (m, n, p, i, h)
 
 
 def test_ir_horizon_static_model():

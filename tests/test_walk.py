@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from svarident.errors import InfeasibleRestrictionsError, UnrestrictedPointError
-from svarident.fixtures import recursive_spec_text
 from svarident.identify import (
     ColumnStatus,
     OnRedundancy,
@@ -28,7 +27,14 @@ from svarident.model import StructuralParams, baseline_structural
 from svarident.restrictions import assemble_f, compile_spec, parse_spec, worst_violation
 from svarident.sampler import SamplerConfig, _draw_stack, draw_reduced_form, stream_key
 
-from helpers import corpus, oracle_rank, q_tilde, random_orthogonal, spec_text_from_cells
+from helpers import (
+    corpus,
+    oracle_rank,
+    q_tilde,
+    random_orthogonal,
+    recursive_spec_text,
+    spec_text_from_cells,
+)
 
 
 @st.composite

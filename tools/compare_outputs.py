@@ -6,8 +6,11 @@ Runs `check`, `explain` and `rotate`, each with `--format text` and
 `--format json`, over specs/*.spec, the test corpus (tests/helpers.py)
 and the specs of the screen-small and cli-cold workloads (bench/) at
 seeds 1-8, each at draw seeds (`--seed`) 11 and 12; the n = 3 documents
-also at the explicit point `--sigma specs/sigma_eye3.txt` and under an
-absolute `--tol 1e-9`.  It runs `demo`, and the error paths of
+also at the explicit point `--sigma specs/sigma_eye3.txt` and under the
+absolute cutoffs `--tol 1e-9` and `--tol 1e-300` (below the default
+cutoff, which it is raised to), and `explain` where the draws disagree
+(specs/recursive3.spec, `--seed 5`, a cutoff between the draws' smallest
+singular values).  It runs `demo`, and the error paths of
 `check`, `explain` and `rotate`: no `--spec`, a missing file, `--sigma
 ""`, `--tol nan`, `--tol 0`, `--draws 1`, a malformed document, and
 `--sigma` files that are asymmetric, hold a NaN, are indefinite or have
@@ -71,14 +74,19 @@ def cases(work: Path) -> list[dict]:
     for doc in docs:
         variants = [["--seed", str(s)] for s in DRAW_SEEDS]
         if parse_spec(Path(doc).read_text(encoding="utf-8")).dims.n == 3:
-            variants += [["--sigma", str(ROOT / "specs" / "sigma_eye3.txt")], ["--tol", "1e-9"]]
+            variants += [["--sigma", str(ROOT / "specs" / "sigma_eye3.txt")], ["--tol", "1e-9"],
+                         ["--tol", "1e-300"]]
         for command in ("check", "explain", "rotate"):
             for fmt in ("text", "json"):
                 out += [{"argv": [command, "--spec", doc, "--format", fmt, *v]} for v in variants]
     out.append({"argv": ["demo"]})
+    rec3 = str(ROOT / "specs" / "recursive3.spec")
+    # the geometric mean of the smallest singular values of --seed 5's five
+    # draws (tests/test_cli.py test_explain_reports_disagreeing_draws)
+    out += [{"argv": ["explain", "--spec", rec3, "--seed", "5", "--tol", "1.088445361746866",
+                      "--format", fmt]} for fmt in ("text", "json")]
     malformed = work / "malformed.spec"
     malformed.write_text("n = 3\np = 1\nblock A0\nx x\n", encoding="utf-8")
-    rec3 = str(ROOT / "specs" / "recursive3.spec")
     bad_points = []  # one file per message of the point's checks, for recursive3
     for name, option, text in (
             ("asymmetric", "--sigma", "1 0.5 0\n0 1 0\n0 0 1\n"),
