@@ -103,7 +103,7 @@ def _inputs(args) -> tuple:
     """What check, explain and rotate read: the cutoff, the document and its
     compiled restrictions, the --sigma/--b point (None without either: the
     commands then use draws of --seed's stream) and the sampler of --seed."""
-    tol = DEFAULT_TOL if args.tol is None else RankTolerance(policy="absolute", value=args.tol)
+    tol = DEFAULT_TOL if args.tol is None else RankTolerance(args.tol)
     if not args.spec:
         raise SpecError("--spec is required for this command")
     spec = parse_spec(Path(args.spec).read_text(encoding="utf-8"))
@@ -134,10 +134,14 @@ def _cmd_explain(args) -> int:
     else:
         lines = ["svar-ident explain", f"spec: {args.spec}"]
         if verdict is Verdict.NOT_IDENTIFIED_REDUNDANCY:
+            # a compiled document names every cell, so no cell is implied
+            # only when the deficient column's rows are all under the cutoff
+            column = report.draws[0].per_column[-1].original_column
             lines += [
                 f"{cell.cell} is implied by other restrictions: {', '.join(cell.implied_by)}"
                 for cell in report.implicated
-            ] or ["redundancy detected but no selection cells to name"]
+            ] or [f"redundancy detected: the restrictions on column {column} are zero under "
+                  "the rank cutoff at draw 0, so none is implied by the others"]
         elif verdict is Verdict.EXACTLY_IDENTIFIED:
             lines.append("model is exactly identified; nothing to explain")
         elif verdict is Verdict.NOT_IDENTIFIED_COUNT_FAILURE:

@@ -7,7 +7,7 @@ other columns, in which case they pin down nothing.  The decisive test is a
 sequential rank condition evaluated at randomly drawn reduced-form points:
 for each column, stack the restriction rows applied to f with the
 previously determined columns and require rank n - 1, which leaves exactly
-one admissible unit vector.  Failure at almost one point means failure at
+one admissible unit vector.  Failure at one generic point means failure at
 almost every point, so a handful of draws settles the verdict.
 """
 
@@ -68,21 +68,6 @@ class ColumnDiagnostic(_Record):
     status: ColumnStatus
     null_dim: int
     singular_values: tuple[float, ...]
-
-    def __init__(self, j, original_column, qtilde_rows, rank, required_rank, status, null_dim,
-                 singular_values):
-        # A walk builds one per (point, column).  Taking the eight fields by
-        # name and filling the instance dict costs about 0.6 times what
-        # _Record's shared __init__ does for them.
-        d = self.__dict__
-        d["j"] = j
-        d["original_column"] = original_column
-        d["qtilde_rows"] = qtilde_rows
-        d["rank"] = rank
-        d["required_rank"] = required_rank
-        d["status"] = status
-        d["null_dim"] = null_dim
-        d["singular_values"] = singular_values
 
     @property
     def status_label(self) -> str:
@@ -197,8 +182,8 @@ def _pinned_pivots(c: CompiledRestrictions) -> np.ndarray:
     choose the sign of column j."""
     n = c.dims.n
     pinned = np.zeros(n, dtype=bool)
-    if c.rows is not None and BlockId("A0") in c.block_ids:
-        first_row = c.block_ids.index(BlockId("A0")) * n
+    if c.rows is not None and BlockId("A0", 0) in c.block_ids:
+        first_row = c.block_ids.index(BlockId("A0", 0)) * n
         for t, orig in enumerate(c.permutation):
             pinned[orig] = first_row + orig in c.rows[t]
     return pinned
@@ -462,14 +447,7 @@ def _theorem6(f_val: np.ndarray, c: CompiledRestrictions, tol: RankTolerance) ->
     required = n * (n - 1) // 2
     count_ok = c.total == required
     rank_ok = all(r == n for r in ranks)
-    return Theorem6Result(
-        ranks=tuple(ranks),
-        total=c.total,
-        required=required,
-        count_ok=count_ok,
-        rank_ok=rank_ok,
-        passed=count_ok and rank_ok,
-    )
+    return Theorem6Result(tuple(ranks), c.total, required, count_ok, rank_ok, count_ok and rank_ok)
 
 
 def _implicated(walk: _Walk, c: CompiledRestrictions, tol: RankTolerance) -> tuple[ImplicatedCell, ...]:
@@ -627,11 +605,8 @@ def _check(c: CompiledRestrictions, tol: RankTolerance, r: ReducedFormParams | N
             theorem6 = _theorem6(first.f @ first.rotation.P, c, tol)
         except UnrestrictedPointError:
             pass
-    return IdentificationReport(
-        dims_n=n, dims_p=c.dims.p, q=c.q, permutation=c.permutation, count=cc,
-        total_restrictions=c.total, total_required=n * (n - 1) // 2,
-        draws=tuple(records), verdict=verdict, implicated=implicated, theorem6=theorem6,
-    )
+    return IdentificationReport(n, c.dims.p, c.q, c.permutation, cc, c.total, n * (n - 1) // 2,
+                                tuple(records), verdict, implicated, theorem6)
 
 
 def check_at_point(

@@ -30,54 +30,35 @@ class _Record:
     dataclass (fields, replace, astuple, asdict and __match_args__ work)
     whose methods are these, not code that @dataclass(frozen=True)
     generates and compiles for every class (about 1 ms a class): __init__
-    binds positional, keyword and default arguments, then runs
-    __post_init__; repr, equality (with the same class only) and hash go
-    over the fields in order; setting or deleting an attribute raises
-    FrozenInstanceError.  An instance's __dict__ holds exactly its fields,
-    in order (a subclass's own __init__ must fill it so), and these
-    methods read the fields from it.
+    takes the fields' values, by position or through the signature built
+    here (keywords and defaults), then runs __post_init__; repr, equality
+    (with the same class only) and hash go over the fields in order;
+    setting or deleting an attribute raises FrozenInstanceError.  An
+    instance's __dict__ holds exactly its fields, in order, and these
+    methods read the fields from it.  A call that gives every field by
+    position skips the bind, which costs several microseconds, so the
+    package builds the records of a walk and a report by position.
     """
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         dataclasses.dataclass(cls, init=False, repr=False, eq=False)
-        fields = dataclasses.fields(cls)
-        cls._positions = tuple(enumerate(f.name for f in fields))
-        cls._defaults = tuple(f.default for f in fields)
-        if "__init__" not in cls.__dict__:
-            cls.__signature__ = inspect.Signature([
-                inspect.Parameter(f.name, inspect.Parameter.POSITIONAL_OR_KEYWORD, annotation=f.type,
-                                  default=inspect.Parameter.empty if f.default is dataclasses.MISSING
-                                  else f.default)
-                for f in fields], return_annotation=None)
+        cls.__signature__ = inspect.Signature([
+            inspect.Parameter(f.name, inspect.Parameter.POSITIONAL_OR_KEYWORD, annotation=f.type,
+                              default=inspect.Parameter.empty if f.default is dataclasses.MISSING
+                              else f.default)
+            for f in dataclasses.fields(cls)], return_annotation=None)
 
     def __init__(self, *args, **kwargs):
-        positions = self._positions
-        if kwargs or len(args) != len(positions):
-            args = self._bind(args, kwargs)
-        d = self.__dict__
-        for i, name in positions:
-            d[name] = args[i]
+        names = self.__match_args__
+        if kwargs or len(args) != len(names):
+            bound = self.__signature__.bind(*args, **kwargs)
+            bound.apply_defaults()
+            args = bound.args
+        # one fresh dict, not one filled key by key: attribute reads of the
+        # latter miss the interpreter's fast path
+        object.__setattr__(self, "__dict__", dict(zip(names, args)))
         self.__post_init__()
-
-    @classmethod
-    def _bind(cls, args: tuple, kwargs: dict) -> list:
-        """The value of each field, in order, from a call's arguments and
-        the fields' defaults."""
-        names = cls.__match_args__
-        if len(args) > len(names):
-            raise TypeError(f"{cls.__name__}() takes {len(names)} positional arguments "
-                            f"but {len(args)} were given")
-        values = list(args)
-        for name, default in zip(names[len(args):], cls._defaults[len(args):]):
-            value = kwargs.pop(name, default)
-            if value is dataclasses.MISSING:
-                raise TypeError(f"{cls.__name__}() missing required argument {name!r}")
-            values.append(value)
-        for name in kwargs:
-            problem = "multiple values for" if name in names else "an unexpected keyword"
-            raise TypeError(f"{cls.__name__}() got {problem} argument {name!r}")
-        return values
 
     def __post_init__(self):
         pass
@@ -102,24 +83,18 @@ class _Record:
 
 
 class RankTolerance(_Record):
-    """Cutoff policy for counting singular values as nonzero.
+    """Cutoff for counting singular values as nonzero.
 
-    policy "relative": cutoff = value * sigma_max, with value defaulting to
-    max(rows, cols) * machine epsilon (the conventional rank rule).
-    policy "absolute": cutoff = value, which must be supplied.
-    Under either policy the cutoff is at least the default one: a smaller
-    cutoff would count rounding errors as rank.  A value must be finite
-    and positive: an infinite cutoff would call every matrix rank 0.
+    With no value the cutoff is max(rows, cols) * machine epsilon *
+    sigma_max (the conventional rank rule).  A value is an absolute cutoff,
+    but never below that default one: a smaller cutoff would count rounding
+    errors as rank.  A value must be finite and positive: an infinite
+    cutoff would call every matrix rank 0.
     """
 
-    policy: str = "relative"
     value: float | None = None
 
     def __post_init__(self):
-        if self.policy not in ("relative", "absolute"):
-            raise ValueError(f"unknown tolerance policy {self.policy!r}")
-        if self.policy == "absolute" and self.value is None:
-            raise ValueError("absolute tolerance requires a value")
         if self.value is not None and not 0.0 < self.value < np.inf:
             raise ValueError("tolerance value must be finite and positive")
 
@@ -127,9 +102,7 @@ class RankTolerance(_Record):
         """The cutoff against reference sigma_max (an array gives one each),
         never below the default max(shape) * eps * sigma_max."""
         floor = max(shape) * _EPS * sigma_max
-        if self.value is None:
-            return floor
-        return np.maximum(self.value if self.policy == "absolute" else self.value * sigma_max, floor)
+        return floor if self.value is None else np.maximum(self.value, floor)
 
 
 DEFAULT_TOL = RankTolerance()

@@ -165,7 +165,7 @@ def parse_spec(text: str) -> RestrictionSpec:
         raise SpecSyntaxError("document must declare n and p")
     if not blocks:
         raise SpecSyntaxError("document declares no blocks")
-    return RestrictionSpec(ModelDims(**dims), tuple(blocks))
+    return RestrictionSpec(ModelDims(dims["n"], dims["p"]), tuple(blocks))
 
 
 class CompiledRestrictions(_Record):
@@ -206,16 +206,9 @@ class CompiledRestrictions(_Record):
         """The system of per-original-column Q, counts and rows, its columns
         stably sorted so that the counts are nonincreasing."""
         order = sorted(range(dims.n), key=lambda j: -counts[j])
-        return cls(
-            dims=dims,
-            block_ids=tuple(block_ids),
-            k=dims.n * len(block_ids),
-            Q=tuple(Q[j] for j in order),
-            q=tuple(counts[j] for j in order),
-            permutation=tuple(order),
-            total=sum(counts),
-            rows=None if rows is None else tuple(rows[j] for j in order),
-        )
+        return cls(dims, tuple(block_ids), dims.n * len(block_ids), tuple(Q[j] for j in order),
+                   tuple(counts[j] for j in order), tuple(order), sum(counts),
+                   None if rows is None else tuple(rows[j] for j in order))
 
     @classmethod
     def from_matrices(

@@ -11,21 +11,19 @@ from .model import ModelDims, ReducedFormParams
 class SamplerConfig(_Record):
     """How to draw reduced-form points.
 
-    Sigma is built as L L' from a random lower-triangular L whose diagonal is
-    |standard normal| * scale + diag_floor, which keeps every draw safely
-    positive definite; B entries are standard normal * scale.
+    Sigma is built as L L' from a random lower-triangular L with standard
+    normal entries below the diagonal and |standard normal| + diag_floor on
+    it, which keeps every draw safely positive definite; B entries are
+    standard normal.
     """
 
     dims: ModelDims
     diag_floor: float = 0.1
-    scale: float = 1.0
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("diag_floor", "scale"):
-            value = getattr(self, name)
-            if not 0.0 < value < np.inf:
-                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+        if not 0.0 < self.diag_floor < np.inf:
+            raise ValueError(f"diag_floor must be positive and finite, got {self.diag_floor!r}")
 
 
 def stream_key(seed: int, index: int) -> int:
@@ -50,12 +48,12 @@ def _draw_stack(cfg: SamplerConfig, keys) -> tuple[np.ndarray, np.ndarray]:
         rng = np.random.default_rng(key)
         rng.standard_normal(out=z[i])
         rng.standard_normal(out=b[i])
-    low = np.tril(z, -1) * cfg.scale
+    low = np.tril(z, -1)
     diag = np.s_[:, ::n + 1]  # the diagonals, with each matrix flattened
-    low.reshape(len(keys), -1)[diag] = np.abs(z.reshape(len(keys), -1)[diag]) * cfg.scale + cfg.diag_floor
+    low.reshape(len(keys), -1)[diag] = np.abs(z.reshape(len(keys), -1)[diag]) + cfg.diag_floor
     sigma = low @ low.swapaxes(1, 2)
     sigma = (sigma + sigma.swapaxes(1, 2)) / 2.0
-    return b * cfg.scale, sigma
+    return b, sigma
 
 
 def draw_reduced_form(cfg: SamplerConfig, index: int) -> ReducedFormParams:

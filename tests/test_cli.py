@@ -325,20 +325,26 @@ def test_explain_reports_disagreeing_draws(capsys):
         "implicated": []}, indent=2) + "\n"
 
 
-def test_cutoff_above_every_singular_value_names_no_cell(capsys):
-    # under --tol 1e300 every restriction row is zero under the cutoff: the
-    # rows restrict nothing at the point, so no cell is named as implied by
-    # others, and no line ends in the ": " of an empty "implied by" list
-    for command in ("check", "explain"):
-        for fmt in ("text", "json"):
-            assert main([command, "--spec", REC3, "--tol", "1e300", "--format", fmt]) in (0, 2)
-            out = capsys.readouterr().out
-            assert not any(line.endswith(": ") for line in out.splitlines()), (command, fmt)
-            if fmt == "json":
-                assert json.loads(out)["verdict"] == "NotIdentified_Redundancy"
-                assert json.loads(out).get("implicated", []) == []
-            elif command == "explain":
-                assert "redundancy detected but no selection cells to name" in out.splitlines()
+def test_cutoff_above_every_singular_value_names_no_cell(tmp_path, capsys):
+    # under --tol 1e300 every restriction row is zero under the cutoff, and
+    # an IR3 block at p = 0 is zero at every point: the rows restrict
+    # nothing, so no cell is named as implied by others, no line ends in
+    # the ": " of an empty "implied by" list, and explain says why
+    ir3 = tmp_path / "ir3.spec"
+    ir3.write_text("n = 2\np = 0\nblock IR3\nx 0\nx x\n", encoding="utf-8")
+    for argv, column in (([REC3, "--tol", "1e300"], 1), ([str(ir3)], 2)):
+        for command in ("check", "explain"):
+            for fmt in ("text", "json"):
+                assert main([command, "--spec", *argv, "--format", fmt]) in (0, 2)
+                out = capsys.readouterr().out
+                assert not any(line.endswith(": ") for line in out.splitlines()), (command, fmt)
+                if fmt == "json":
+                    assert json.loads(out)["verdict"] == "NotIdentified_Redundancy"
+                    assert json.loads(out).get("implicated", []) == []
+                elif command == "explain":
+                    assert out.splitlines()[2:] == [
+                        f"redundancy detected: the restrictions on column {column} are zero "
+                        "under the rank cutoff at draw 0, so none is implied by the others"]
     # the columns accepted earlier always count toward the rank
     assert main(["rotate", "--spec", REC3, "--tol", "1e300"]) == 0
     ranks = [line.split("rank ")[1].split()[0] for line in capsys.readouterr().out.splitlines()

@@ -27,11 +27,11 @@ def reference_draw(cfg, index):
     rng = np.random.default_rng(stream_key(cfg.seed, index))
     n, m = cfg.dims.n, cfg.dims.m
     z = rng.standard_normal((n, n))
-    low = np.tril(z, -1) * cfg.scale
-    np.fill_diagonal(low, np.abs(np.diag(z)) * cfg.scale + cfg.diag_floor)
+    low = np.tril(z, -1)
+    np.fill_diagonal(low, np.abs(np.diag(z)) + cfg.diag_floor)
     sigma = low @ low.T
     sigma = (sigma + sigma.T) / 2.0
-    return rng.standard_normal((m, n)) * cfg.scale, sigma
+    return rng.standard_normal((m, n)), sigma
 
 
 def reference_f(b, sigma, spec):
@@ -125,7 +125,7 @@ def test_first_draw_with_a_singular_a0_is_named():
     # the counterexample has an IR0 block, so each draw's A0 is rank-checked;
     # an absolute cutoff of 0.5 calls it singular at draws 1, 3 and 4 of seed 0
     spec = parse_spec(COUNTEREXAMPLE)
-    tol = RankTolerance(policy="absolute", value=0.5)
+    tol = RankTolerance(0.5)
     cfg = SamplerConfig(dims=spec.dims, seed=0)
     singular = [i for i in range(5)
                 if numerical_rank(baseline_structural(draw_reduced_form(cfg, i)).A0, tol) < 3]

@@ -298,21 +298,21 @@ def test_theorem6_one_svd_call_keeps_each_rank():
 
 
 def test_theorem6_cutoffs_under_every_policy(monkeypatch):
-    # each stack's rank against its own cutoff, for the relative policy with
-    # and without a value and for the absolute one, at cutoffs that fall
-    # among the singular values (every policy lowers some rank); a machine
-    # epsilon of 0.02 makes the default's row count k + t + 1 decide ranks.
-    # A point whose A0 is singular under a policy is skipped.
+    # each stack's rank against its own cutoff, for the default rule and an
+    # absolute cutoff, at cutoffs that fall among the singular values (each
+    # lowers some rank); a machine epsilon of 0.02 makes the default's row
+    # count k + t + 1 decide ranks.  A point whose A0 is singular under a
+    # cutoff is skipped.
     points = []
     for entry in corpus():
         spec = parse_spec(entry.text)
         c = compile_spec(spec)
-        for seed in (0, 1, 2):
+        for seed in range(5):
             r = draw_reduced_form(SamplerConfig(dims=spec.dims, seed=seed), 0)
             s = restricted_point(r, c, spec)
             points.append((entry.name, s, c, spec, theorem6_check(s, c, spec).ranks))
     monkeypatch.setattr(linalg, "_EPS", 0.02)
-    policies = [DEFAULT_TOL, RankTolerance("relative", 0.05), RankTolerance("absolute", 0.3)]
+    policies = [DEFAULT_TOL, RankTolerance(0.3)]
     lowered, compared = set(), 0
     for tol in policies:
         for name, s, c, spec, at_machine_eps in points:
@@ -633,7 +633,7 @@ def test_draw_disagreement_is_reported_not_voted():
         smallest.append(min(d.singular_values[-1] for d in rot.per_column if d.singular_values))
     lo, hi = min(smallest), max(smallest)
     assert hi > lo
-    tol = RankTolerance(policy="absolute", value=float(np.sqrt(lo * hi)))
+    tol = RankTolerance(float(np.sqrt(lo * hi)))
     report = check_exact_identification(spec, draws=5, seed=5, tol=tol)
     assert report.verdict is Verdict.INCONCLUSIVE_DRAW_DISAGREEMENT
     outcomes = {d.passed for d in report.draws}

@@ -4,6 +4,7 @@ immutability, argument errors and signature."""
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import inspect
 import pickle
@@ -70,19 +71,18 @@ RECORDS = [
          "((2, 0), (('A0', 0),), 2, (array([[0., 1.]]), array([], shape=(0, 2), dtype=float64)), "
          "(1, 0), (0, 1), 1, ((1,), ()))",
          change={"total": 2}, post=({"Q": ((0.0, 1.0),)}, AttributeError)),  # it sets Q read-only
-    _row(sv.RankTolerance, ("absolute", 1e-9),
-         "(policy: 'str' = 'relative', value: 'float | None' = None) -> None",
-         "RankTolerance(policy='absolute', value=1e-09)", "('absolute', 1e-09)",
-         defaults={"policy": "relative", "value": None},
-         change={"value": 1e-8}, post=({"value": None}, ValueError)),
-    _row(sv.SamplerConfig, (sv.ModelDims(3, 1), 0.5, 2.0, 7),
-         "(dims: 'ModelDims', diag_floor: 'float' = 0.1, scale: 'float' = 1.0, seed: 'int' = 0) "
-         "-> None",
-         "SamplerConfig(dims=ModelDims(n=3, p=1), diag_floor=0.5, scale=2.0, seed=7)",
-         "((3, 1), 0.5, 2.0, 7)", defaults={"diag_floor": 0.1, "scale": 1.0, "seed": 0},
-         change={"seed": 8}, post=({"scale": 0.0}, ValueError)),
+    _row(sv.RankTolerance, (1e-9,), "(value: 'float | None' = None) -> None",
+         "RankTolerance(value=1e-09)", "(1e-09,)", defaults={"value": None},
+         change={"value": 1e-8}, post=({"value": 0.0}, ValueError)),
+    _row(sv.SamplerConfig, (sv.ModelDims(3, 1), 0.5, 7),
+         "(dims: 'ModelDims', diag_floor: 'float' = 0.1, seed: 'int' = 0) -> None",
+         "SamplerConfig(dims=ModelDims(n=3, p=1), diag_floor=0.5, seed=7)",
+         "((3, 1), 0.5, 7)", defaults={"diag_floor": 0.1, "seed": 0},
+         change={"seed": 8}, post=({"diag_floor": 0.0}, ValueError)),
     _row(sv.ColumnDiagnostic, (2, 3, 4, 1, 2, ColumnStatus.REDUNDANT, 2, (1.5, 0.25)),
-         "(j, original_column, qtilde_rows, rank, required_rank, status, null_dim, singular_values)",
+         "(j: 'int', original_column: 'int', qtilde_rows: 'int', rank: 'int', "
+         "required_rank: 'int', status: 'ColumnStatus', null_dim: 'int', "
+         "singular_values: 'tuple[float, ...]') -> None",
          "ColumnDiagnostic(j=2, original_column=3, qtilde_rows=4, rank=1, required_rank=2, "
          "status=<ColumnStatus.REDUNDANT: 'Redundant'>, null_dim=2, singular_values=(1.5, 0.25))",
          "(2, 3, 4, 1, 2, <ColumnStatus.REDUNDANT: 'Redundant'>, 2, (1.5, 0.25))",
@@ -160,9 +160,12 @@ def test_record_is_an_immutable_value(row):
         case cls(first):
             assert first is getattr(a, names[0])
 
-    # keyword and default binding give the same value
+    # keyword and default binding give the same value, with the fields in
+    # their declared order whatever the order of the keywords
     b = cls(**dict(zip(names, args)))
     assert a == b and not a != b
+    assert repr(cls(**dict(reversed(list(zip(names, args)))))) == row["repr"]
+    assert list(vars(a)) == list(vars(b)) == names
     if defaults:
         assert cls(*args[:required]) == cls(*args[:required], *defaults.values())
 
@@ -204,8 +207,14 @@ def test_record_is_an_immutable_value(row):
         with pytest.raises(TypeError):
             cls(*call_args, **call_kwargs)
 
-    # a pickle round trip gives the same value
+    # a pickle round trip and copies give the same value; deep copies of
+    # arrays are new arrays, which compare by identity
     assert repr(pickle.loads(pickle.dumps(a))) == repr(a)
+    for dup in (copy.copy(a), copy.deepcopy(a)):
+        assert repr(dup) == row["repr"] and list(vars(dup)) == names
+    assert copy.copy(a) == a
+    if cls.__name__ not in _UNHASHABLE:
+        assert copy.deepcopy(a) == a
 
 
 def test_equal_fields_of_different_records_are_not_equal():

@@ -13,11 +13,9 @@ def test_config_validation():
     dims = ModelDims(3, 1)
     with pytest.raises(ValueError):
         SamplerConfig(dims=dims, diag_floor=0.0)
-    with pytest.raises(ValueError):
-        SamplerConfig(dims=dims, scale=-1.0)
 
 
-@pytest.mark.parametrize("field", ["diag_floor", "scale"])
+@pytest.mark.parametrize("field", ["diag_floor"])
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
 def test_config_rejects_non_finite(field, value):
     # refused at construction, naming the field, not later as a Sigma with
@@ -75,10 +73,3 @@ def test_every_draw_factors():
     for idx in range(200):
         s = baseline_structural(draw_reduced_form(cfg, idx))
         assert np.all(np.isfinite(s.A0))
-
-
-def test_scale_parameter():
-    dims = ModelDims(3, 1)
-    small = draw_reduced_form(SamplerConfig(dims=dims, seed=1, scale=0.01), 0)
-    big = draw_reduced_form(SamplerConfig(dims=dims, seed=1, scale=100.0), 0)
-    assert float(np.abs(small.B).max()) < float(np.abs(big.B).max())

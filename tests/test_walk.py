@@ -163,7 +163,7 @@ def test_batched_walk_matches_single_draws_when_some_stop():
     for i in range(5):
         per_column = nonredundancy_at(draw_reduced_form(cfg, i), c, spec).per_column
         smallest.append(min(d.singular_values[-1] for d in per_column if d.singular_values))
-    tol = RankTolerance(policy="absolute", value=float(np.sqrt(min(smallest) * max(smallest))))
+    tol = RankTolerance(float(np.sqrt(min(smallest) * max(smallest))))
     report = _batched_equals_single(spec, cfg, 5, tol)
     assert {len(rec.per_column) for rec in report.draws} == {1, 3}
 
