@@ -19,7 +19,7 @@ import numpy as np
 from .errors import InfeasibleRestrictionsError, SpecError, SvarIdentError
 from .identify import Verdict, _check, _picked, _theorem6, _walk_at, count_condition
 from .linalg import DEFAULT_TOL, RankTolerance
-from .model import ModelDims, ReducedFormParams
+from .model import ReducedFormParams
 from .restrictions import (
     compile_spec,
     parse_spec,
@@ -88,15 +88,25 @@ def _load_matrix(path: str, shape: tuple[int, int], name: str, option: str) -> n
     return arr
 
 
-def _explicit_point(args, dims: ModelDims) -> ReducedFormParams | None:
-    """The --sigma/--b point (Sigma = I or B = 0 for a file not given); None
-    without either.  Every path given is read, an empty one too."""
+def _explicit_point(args, spec) -> ReducedFormParams | None:
+    """The --sigma/--b point; None without either.  Every path given is
+    read, an empty one too, before the pair is checked.  Every block of f
+    depends on Sigma, so --b needs --sigma.  --sigma alone stands for
+    B = 0, which zeroes every LAG block and every IR block past horizon 0
+    when p >= 1; a document with such a block needs --b too."""
     if args.sigma is None and args.b is None:
         return None
-    n, m = dims.n, dims.m
-    sigma = np.eye(n) if args.sigma is None else _load_matrix(args.sigma, (n, n), "Sigma", "--sigma")
-    b = np.zeros((m, n)) if args.b is None else _load_matrix(args.b, (m, n), "B", "--b")
-    return ReducedFormParams(dims, b, sigma)
+    n, m = spec.dims.n, spec.dims.m
+    sigma = None if args.sigma is None else _load_matrix(args.sigma, (n, n), "Sigma", "--sigma")
+    b = None if args.b is None else _load_matrix(args.b, (m, n), "B", "--b")
+    if sigma is None:
+        raise ValueError("--b needs --sigma: every block of f depends on Sigma")
+    if b is None:
+        zeroed = [block.label for block, _ in spec.blocks if spec.dims.p and block.index]
+        if zeroed:
+            raise ValueError(f"--sigma needs --b: B = 0 would make block {zeroed[0]} zero")
+        b = np.zeros((m, n))
+    return ReducedFormParams(spec.dims, b, sigma)
 
 
 def _inputs(args) -> tuple:
@@ -107,7 +117,7 @@ def _inputs(args) -> tuple:
     if not args.spec:
         raise SpecError("--spec is required for this command")
     spec = parse_spec(Path(args.spec).read_text(encoding="utf-8"))
-    return (tol, spec, compile_spec(spec), _explicit_point(args, spec.dims),
+    return (tol, spec, compile_spec(spec), _explicit_point(args, spec),
             SamplerConfig(dims=spec.dims, seed=args.seed))
 
 
@@ -166,7 +176,7 @@ def _cmd_rotate(args) -> int:
         print(f"svar-ident: infeasible: {exc}", file=sys.stderr)
         return 2
 
-    residual = restriction_residual(s_rot, c, spec, tol)
+    residual = restriction_residual(s_rot, c, spec)
     rotated = (s_rot.A0, s_rot.Aplus)
     if args.format == "json":
         payload = rotation_report_dict(

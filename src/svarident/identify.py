@@ -323,19 +323,19 @@ def _build_columns(a0: np.ndarray, aplus: np.ndarray, f: np.ndarray, c: Compiled
     return walks
 
 
-def _front(b: np.ndarray, sigma: np.ndarray, c: CompiledRestrictions,
-           tol: RankTolerance) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _front(b: np.ndarray, sigma: np.ndarray,
+           c: CompiledRestrictions) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Baseline A0 and Aplus, and f in c's block order, of stacked reduced
     forms (B, Sigma)."""
     a0, aplus = _baseline_stack(b, sigma)
-    return a0, aplus, _assemble_stack(a0, aplus, c.block_ids, c.dims.p, tol)
+    return a0, aplus, _assemble_stack(a0, aplus, c.block_ids, c.dims.p)
 
 
 def _walk_at(r: ReducedFormParams, c: CompiledRestrictions, tol: RankTolerance,
              pick_rng: np.random.Generator | None = None) -> _Walk:
     """The walk at one reduced-form point."""
     _require_layout(c, r)
-    return _build_columns(*_front(r.B[None], r.Sigma[None], c, tol), c, tol, pick_rng)[0]
+    return _build_columns(*_front(r.B[None], r.Sigma[None], c), c, tol, pick_rng)[0]
 
 
 def nonredundancy_at(
@@ -407,7 +407,7 @@ def theorem6_check(
     """
     _require_layout(c, spec, "spec")
     _require_layout(c, s_restricted, "structural point")
-    f_val = _assemble_stack(s_restricted.A0[None], s_restricted.Aplus[None], c.block_ids, c.dims.p, tol)
+    f_val = _assemble_stack(s_restricted.A0[None], s_restricted.Aplus[None], c.block_ids, c.dims.p)
     return _theorem6(f_val[0], c, tol)
 
 
@@ -530,14 +530,14 @@ def _sampled(cfg: SamplerConfig, draws: int, c: CompiledRestrictions) -> tuple:
     return seeds, (_draw_stack(cfg, seeds[lo:lo + size]) for lo in range(0, draws, size))
 
 
-def _failing_draw(exc: Exception, b, sigma, c, tol, seeds, done: int) -> Exception:
+def _failing_draw(exc: Exception, b, sigma, c, seeds, done: int) -> Exception:
     """The error of the lowest-index point of a batch whose front end fails,
     naming that draw and its seed; exc itself for an explicit point."""
     if seeds[done] is None:
         return exc
     for i in range(len(b)):
         try:
-            _front(b[i:i + 1], sigma[i:i + 1], c, tol)
+            _front(b[i:i + 1], sigma[i:i + 1], c)
         except SvarIdentError as one:
             return type(one)(f"draw {done + i} (seed {seeds[done + i]}): {one}")
     return exc
@@ -580,9 +580,9 @@ def _check(c: CompiledRestrictions, tol: RankTolerance, r: ReducedFormParams | N
         for b, sigma in batches:
             done = len(records)
             try:
-                front = _front(b, sigma, c, tol)
+                front = _front(b, sigma, c)
             except SvarIdentError as exc:
-                raise _failing_draw(exc, b, sigma, c, tol, seeds, done) from exc
+                raise _failing_draw(exc, b, sigma, c, seeds, done) from exc
             pick = np.random.default_rng(0) if cross_check and not done else None
             walks = _build_columns(*front, c, tol, pick)
             if first is None:

@@ -108,14 +108,10 @@ class RankTolerance(_Record):
 DEFAULT_TOL = RankTolerance()
 
 
-def numerical_rank(m, tol: RankTolerance = DEFAULT_TOL):
-    """Number of singular values above the resolved cutoff.  Zero matrix -> 0.
-
-    m is a float array; a stack of matrices (..., rows, cols) gives an
-    array of ranks, one each.
-    """
-    if min(m.shape[-2:]) == 0:
-        return 0 if m.ndim == 2 else np.zeros(m.shape[:-2], dtype=int)
+def numerical_rank(m, tol: RankTolerance = DEFAULT_TOL) -> int:
+    """Number of singular values of the 2-D float array m above the
+    resolved cutoff.  Zero matrix -> 0."""
+    if min(m.shape) == 0:
+        return 0
     s = np.linalg.svd(m, compute_uv=False)
-    ranks = (s > tol.resolve(m.shape[-2:], s[..., :1])).sum(axis=-1)
-    return int(ranks) if m.ndim == 2 else ranks
+    return int((s > tol.resolve(m.shape, s[0])).sum())

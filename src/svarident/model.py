@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NotPositiveDefiniteError, NotSymmetricError, SingularA0Error, SvarIdentError
-from .linalg import DEFAULT_TOL, RankTolerance, _Record, as_matrix, numerical_rank
+from .linalg import _Record, as_matrix, numerical_rank
 
 # Sigma's symmetry test: max|S - S'| may be at most this times max|S|
 _SYM_TOL = 1e-12
@@ -48,7 +48,9 @@ def _admit(a, name: str, shape: tuple[int, int]) -> np.ndarray:
 
 
 class StructuralParams(_Record):
-    """Structural coefficients (A0, Aplus); immutable after construction."""
+    """Structural coefficients (A0, Aplus); immutable after construction.
+    A0 must be invertible: one of full numerical rank by the default rule
+    is admitted, and every map out of the point inverts it unchecked."""
 
     dims: ModelDims
     A0: np.ndarray
@@ -56,8 +58,11 @@ class StructuralParams(_Record):
 
     def __post_init__(self):
         n = self.dims.n
-        object.__setattr__(self, "A0", _admit(self.A0, "A0", (n, n)))
+        a0 = _admit(self.A0, "A0", (n, n))
+        object.__setattr__(self, "A0", a0)
         object.__setattr__(self, "Aplus", _admit(self.Aplus, "Aplus", (self.dims.m, n)))
+        if numerical_rank(a0) < n:
+            raise SingularA0Error("A0 is numerically singular")
 
 
 class ReducedFormParams(_Record):
@@ -77,19 +82,12 @@ class ReducedFormParams(_Record):
         object.__setattr__(self, "Sigma", s)
 
 
-def _require_invertible(a0: np.ndarray, tol: RankTolerance) -> None:
-    """Raise unless A0 (or every A0 of a stack) has full numerical rank."""
-    if (np.asarray(numerical_rank(a0, tol)) < a0.shape[-1]).any():
-        raise SingularA0Error("A0 is numerically singular")
-
-
-def to_reduced_form(s: StructuralParams, tol: RankTolerance = DEFAULT_TOL) -> ReducedFormParams:
+def to_reduced_form(s: StructuralParams) -> ReducedFormParams:
     """Map structural (A0, Aplus) to reduced-form (B, Sigma).
 
     B = Aplus A0^{-1}; Sigma = (A0 A0')^{-1}, symmetrized so that downstream
     Cholesky factorizations never see roundoff asymmetry.
     """
-    _require_invertible(s.A0, tol)
     b = np.linalg.solve(s.A0.T, s.Aplus.T).T
     sigma = np.linalg.inv(s.A0 @ s.A0.T)
     sigma = (sigma + sigma.T) / 2.0
@@ -124,21 +122,21 @@ def baseline_structural(r: ReducedFormParams) -> StructuralParams:
     return StructuralParams(r.dims, a0[0], aplus[0])
 
 
-def _impulse_responses(a0: np.ndarray, aplus, horizons, p: int, tol: RankTolerance) -> list[np.ndarray]:
+def _impulse_responses(a0: np.ndarray, aplus, horizons, p: int) -> list[np.ndarray]:
     """Structural impulse responses of stacked points (A0 (M, n, n), Aplus
     (M, m, n)) at each horizon, one (M, n, n) array per horizon.
 
-    Each point's A0 is rank-checked and inverted once, and B is solved for
-    and the companion matrices built once, for all horizons; the companion
-    powers are taken point by point, so no stacked (M, np, np) power is
-    held.  Horizon 0 is (A0^{-1})'; later horizons premultiply by the
+    Each point's A0 is inverted once, with no rank check (a StructuralParams
+    admits only an invertible A0, and a baseline A0 inverts a Cholesky
+    factor), and B is solved for and the companion matrices built once,
+    for all horizons; the companion powers are taken point by point, so no
+    stacked (M, np, np) power is held.  Horizon 0 is (A0^{-1})'; later horizons premultiply by the
     reduced-form moving-average coefficient.  With p = 0 every h >= 1 is 0.
     A response that overflows (a long horizon of an explosive B) is
     refused, and numpy's overflow warnings are not shown.
     """
     if not horizons:
         return []
-    _require_invertible(a0, tol)
     ir0 = np.linalg.inv(a0).swapaxes(-1, -2)
     n = a0.shape[-1]
     with np.errstate(over="ignore", invalid="ignore"):
@@ -156,7 +154,7 @@ def _impulse_responses(a0: np.ndarray, aplus, horizons, p: int, tol: RankToleran
     return irs
 
 
-def ir_horizon(s: StructuralParams, h: int, tol: RankTolerance = DEFAULT_TOL) -> np.ndarray:
+def ir_horizon(s: StructuralParams, h: int) -> np.ndarray:
     """Structural impulse responses at horizon h.
 
     Horizon 0 is (A0^{-1})'; later horizons premultiply by the reduced-form
@@ -165,4 +163,4 @@ def ir_horizon(s: StructuralParams, h: int, tol: RankTolerance = DEFAULT_TOL) ->
     """
     if h < 0:
         raise ValueError("horizon must be nonnegative")
-    return _impulse_responses(s.A0[None], s.Aplus[None], [h], s.dims.p, tol)[0][0]
+    return _impulse_responses(s.A0[None], s.Aplus[None], [h], s.dims.p)[0][0]

@@ -20,7 +20,7 @@ from .errors import (
     SpecSyntaxError,
     UnknownBlockError,
 )
-from .linalg import DEFAULT_TOL, RankTolerance, _Record, as_matrix, numerical_rank
+from .linalg import _Record, as_matrix, numerical_rank
 from .model import _FLOORS, ModelDims, StructuralParams, _impulse_responses
 
 _BLOCK_RE = re.compile(r"A0|(LAG|IR)([0-9]+)")
@@ -211,13 +211,7 @@ class CompiledRestrictions(_Record):
                    None if rows is None else tuple(rows[j] for j in order))
 
     @classmethod
-    def from_matrices(
-        cls,
-        dims: ModelDims,
-        block_ids,
-        matrices,
-        tol: RankTolerance = DEFAULT_TOL,
-    ) -> "CompiledRestrictions":
+    def from_matrices(cls, dims: ModelDims, block_ids, matrices) -> "CompiledRestrictions":
         """Compile general restriction matrices Q_j given per original column.
 
         Each Q_j is k x k; q_j is its numerical rank.  Its all-zero rows are
@@ -233,7 +227,7 @@ class CompiledRestrictions(_Record):
             if m.shape != (k, k):
                 raise ValueError(f"each Q must be {k}x{k}, got {m.shape}")
         return cls._ordered(dims, block_ids, [m[np.any(m != 0.0, axis=1)] for m in mats],
-                            [numerical_rank(m, tol) for m in mats])
+                            [numerical_rank(m) for m in mats])
 
 
 def compile_spec(spec: RestrictionSpec) -> CompiledRestrictions:
@@ -254,11 +248,11 @@ def compile_spec(spec: RestrictionSpec) -> CompiledRestrictions:
     )
 
 
-def _assemble_stack(a0: np.ndarray, aplus: np.ndarray, blocks, p: int, tol: RankTolerance) -> np.ndarray:
+def _assemble_stack(a0: np.ndarray, aplus: np.ndarray, blocks, p: int) -> np.ndarray:
     """f of stacked structural points (A0 (M, n, n), Aplus (M, m, n)): each
     block's matrix value stacked vertically, in the given order (M, k, n)."""
     n = a0.shape[-1]
-    irs = iter(_impulse_responses(a0, aplus, [b.index for b in blocks if b.kind == "IR"], p, tol))
+    irs = iter(_impulse_responses(a0, aplus, [b.index for b in blocks if b.kind == "IR"], p))
     return np.concatenate([
         a0 if b.kind == "A0" else aplus[:, (b.index - 1) * n:b.index * n] if b.kind == "LAG"
         else next(irs)
@@ -266,9 +260,9 @@ def _assemble_stack(a0: np.ndarray, aplus: np.ndarray, blocks, p: int, tol: Rank
     ], axis=1)
 
 
-def assemble_f(s: StructuralParams, spec: RestrictionSpec, tol: RankTolerance = DEFAULT_TOL) -> np.ndarray:
+def assemble_f(s: StructuralParams, spec: RestrictionSpec) -> np.ndarray:
     """Stack every block's matrix value vertically, in declared order (k x n)."""
-    return _assemble_stack(s.A0[None], s.Aplus[None], [b for b, _ in spec.blocks], s.dims.p, tol)[0]
+    return _assemble_stack(s.A0[None], s.Aplus[None], [b for b, _ in spec.blocks], s.dims.p)[0]
 
 
 def _require_layout(c: CompiledRestrictions, held, what: str = "reduced-form point") -> None:
@@ -285,17 +279,12 @@ def _require_layout(c: CompiledRestrictions, held, what: str = "reduced-form poi
     raise ValueError(f"{what} has {theirs} but the restrictions are for {ours}")
 
 
-def restriction_residual(
-    s: StructuralParams,
-    c: CompiledRestrictions,
-    spec: RestrictionSpec,
-    tol: RankTolerance = DEFAULT_TOL,
-) -> float:
+def restriction_residual(s: StructuralParams, c: CompiledRestrictions, spec: RestrictionSpec) -> float:
     """Worst violated zero restriction: max_j ||Q_j f e_j||_inf through the
     recorded column permutation.  Zero (up to roundoff) on the restricted set."""
     _require_layout(c, spec, "spec")
     _require_layout(c, s, "structural point")
-    return worst_violation(c, _assemble_stack(s.A0[None], s.Aplus[None], c.block_ids, c.dims.p, tol)[0])
+    return worst_violation(c, _assemble_stack(s.A0[None], s.Aplus[None], c.block_ids, c.dims.p)[0])
 
 
 def worst_violation(c: CompiledRestrictions, f_val: np.ndarray) -> float:

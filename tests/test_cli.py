@@ -264,22 +264,52 @@ def test_rotate_takes_no_draws(capsys):
 
 def test_bad_point_files_are_refused_with_one_message(tmp_path, capsys):
     # each --sigma/--b file is checked once, where its record is built (a
-    # Sigma that does not factor, where it is factored), with one message
+    # Sigma that does not factor, where it is factored), with one message;
+    # a --b file comes with the --sigma it needs
     for i, (option, text, reason) in enumerate((
-        ("--sigma", "1 0.5 0\n0 1 0\n0 0 1\n", "Sigma must be symmetric"),
-        ("--sigma", "1 0 0\n0 nan 0\n0 0 1\n", "Sigma has non-finite entries"),
-        ("--sigma", "1 2 0\n2 1 0\n0 0 1\n", "matrix is not positive definite (nonpositive pivot)"),
-        ("--sigma", "1 0\n0 1\n", "Sigma in {path} must be 3x3, got (2, 2)"),
-        ("--b", "0 0 0\n0 nan 0\n0 0 0\n0 0 0\n", "B has non-finite entries"),
+        (["--sigma"], "1 0.5 0\n0 1 0\n0 0 1\n", "Sigma must be symmetric"),
+        (["--sigma"], "1 0 0\n0 nan 0\n0 0 1\n", "Sigma has non-finite entries"),
+        (["--sigma"], "1 2 0\n2 1 0\n0 0 1\n", "matrix is not positive definite (nonpositive pivot)"),
+        (["--sigma"], "1 0\n0 1\n", "Sigma in {path} must be 3x3, got (2, 2)"),
+        (["--sigma", SIGMA_EYE, "--b"], "0 0 0\n0 nan 0\n0 0 0\n0 0 0\n", "B has non-finite entries"),
     )):
         path = tmp_path / f"point{i}.txt"
         path.write_text(text, encoding="utf-8")
         for command in ("check", "explain", "rotate"):
             for fmt in ("text", "json"):
-                code = main([command, "--spec", REC3, option, str(path), "--format", fmt])
+                code = main([command, "--spec", REC3, *option, str(path), "--format", fmt])
                 captured = capsys.readouterr()
                 assert (code, captured.out) == (1, ""), (option, text, command, fmt)
                 assert captured.err == f"svar-ident: error: {reason.format(path=path)}\n", (command, fmt)
+
+
+def test_a_point_that_would_fill_in_a_verdict_changing_file_is_refused(tmp_path, capsys):
+    # each document is identified over draws; the file left out would have
+    # been filled in (B = 0 or Sigma = I) at a point that reads it redundant
+    lag = tmp_path / "lag.spec"
+    lag.write_text("n = 3\np = 1\nblock A0\nx x x\n0 x x\n0 x x\n"
+                   "block LAG1\nx 0 x\nx x x\nx x x\n", encoding="utf-8")
+    static = tmp_path / "static.spec"
+    static.write_text("n = 3\np = 0\nblock A0\nx 0 x\n0 x x\n0 x x\n", encoding="utf-8")
+    b_zero = tmp_path / "b.txt"
+    b_zero.write_text("0 0 0\n", encoding="utf-8")
+    for doc, argv, reason in (
+        (lag, ["--sigma", SIGMA_EYE], "--sigma needs --b: B = 0 would make block LAG1 zero"),
+        (static, ["--b", str(b_zero)], "--b needs --sigma: every block of f depends on Sigma"),
+    ):
+        assert main(["check", "--spec", str(doc)]) == 0
+        assert "verdict: ExactlyIdentified" in capsys.readouterr().out
+        for command in ("check", "explain", "rotate"):
+            for fmt in ("text", "json"):
+                code = main([command, "--spec", str(doc), *argv, "--format", fmt])
+                assert (code, *capsys.readouterr()) == (1, "", f"svar-ident: error: {reason}\n"), \
+                    (doc, command, fmt)
+    # an IR block past horizon 0 is zero at B = 0 as well, but only when p >= 1
+    for text, code in (("n = 3\np = 1\nblock IR2\n", 1), ("n = 3\np = 0\nblock IR2\n", 2)):
+        doc = tmp_path / f"ir2-{code}.spec"
+        doc.write_text(text + "x x x\n0 x x\n0 0 x\n", encoding="utf-8")
+        assert main(["check", "--spec", str(doc), "--sigma", SIGMA_EYE]) == code
+        assert ("block IR2 zero" in capsys.readouterr().err) == (code == 1)
 
 
 def test_invalid_tolerance_is_a_usage_error(capsys):

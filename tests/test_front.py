@@ -1,6 +1,7 @@
 """The stacked front end of a check: draws, baseline points and f for a
 whole batch, against the per-point arithmetic it replaces, and the error
-for the first draw that does not factor or has a singular A0."""
+for the first draw that does not factor; a rank cutoff decides the walk,
+not whether a draw's A0 is invertible."""
 
 from __future__ import annotations
 
@@ -10,10 +11,10 @@ import numpy as np
 import pytest
 
 from svarident.cli import main
-from svarident.errors import NotPositiveDefiniteError, SingularA0Error, SvarIdentError
+from svarident.errors import NotPositiveDefiniteError, SvarIdentError
 from svarident.fixtures import COUNTEREXAMPLE
-from svarident.identify import _front, _sampled, check_exact_identification, theorem6_check
-from svarident.linalg import DEFAULT_TOL, RankTolerance, numerical_rank
+from svarident.identify import Verdict, _front, _sampled, check_exact_identification, theorem6_check
+from svarident.linalg import RankTolerance, numerical_rank
 from svarident.model import baseline_structural, ir_horizon
 from svarident.restrictions import assemble_f, compile_spec, parse_spec, restriction_residual
 from svarident.sampler import SamplerConfig, draw_reduced_form, stream_key
@@ -72,7 +73,7 @@ def test_stacked_front_end_is_bit_identical_to_each_point_alone(n, p, draws):
     seeds, batches = _sampled(cfg, draws, c)
     done = 0
     for b, sigma in batches:
-        a0, aplus, f = _front(b, sigma, c, DEFAULT_TOL)
+        a0, aplus, f = _front(b, sigma, c)
         for i in range(len(b)):
             ref_b, ref_sigma = reference_draw(cfg, done + i)
             ref = reference_f(ref_b, ref_sigma, spec)
@@ -121,18 +122,24 @@ def test_first_draw_that_does_not_factor_is_named(tmp_path, capsys):
     assert "not positive definite" in err
 
 
-def test_first_draw_with_a_singular_a0_is_named():
-    # the counterexample has an IR0 block, so each draw's A0 is rank-checked;
-    # an absolute cutoff of 0.5 calls it singular at draws 1, 3 and 4 of seed 0
+def test_the_cutoff_does_not_decide_whether_a0_is_invertible(tmp_path, capsys):
+    # an absolute cutoff of 0.5 lies above the smallest singular value of A0
+    # at draws 1, 3 and 4 of seed 0; it decides the walk's ranks, not whether
+    # a Cholesky factor's inverse is invertible, so every draw is walked
     spec = parse_spec(COUNTEREXAMPLE)
     tol = RankTolerance(0.5)
     cfg = SamplerConfig(dims=spec.dims, seed=0)
-    singular = [i for i in range(5)
-                if numerical_rank(baseline_structural(draw_reduced_form(cfg, i)).A0, tol) < 3]
-    assert singular[0] > 0 and len(singular) > 1
-    named = rf"^draw {singular[0]} \(seed {stream_key(0, singular[0])}\): A0 is numerically singular$"
-    with pytest.raises(SingularA0Error, match=named):
-        check_exact_identification(spec, config=cfg, draws=5, tol=tol)
+    below = [i for i in range(5)
+             if numerical_rank(baseline_structural(draw_reduced_form(cfg, i)).A0, tol) < 3]
+    assert below[0] > 0 and len(below) > 1
+    report = check_exact_identification(spec, config=cfg, draws=5, tol=tol)
+    assert len(report.draws) == 5
+    assert report.verdict is Verdict.NOT_IDENTIFIED_REDUNDANCY
+    path = tmp_path / "counterexample.spec"
+    path.write_text(COUNTEREXAMPLE, encoding="utf-8")
+    capsys.readouterr()
+    assert main(["check", "--spec", str(path), "--tol", "0.5"]) == 2
+    assert capsys.readouterr().err == ""
 
 
 def test_an_overflowing_f_names_its_draw_without_numpy_warnings(tmp_path, capsys):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -9,7 +11,6 @@ from numpy.testing import assert_allclose
 from svarident.errors import (
     CountConditionError,
     InfeasibleRestrictionsError,
-    SingularA0Error,
     UnrestrictedPointError,
 )
 from svarident.fixtures import COUNTEREXAMPLE
@@ -71,6 +72,9 @@ def _eye_point(n, p=1):
 
 
 def test_count_condition_cases():
+    # demo prints the built-in copy; the README and the CLI tests read the file
+    cex_file = Path(__file__).resolve().parent.parent / "specs" / "counterexample.spec"
+    assert cex_file.read_text(encoding="utf-8") == COUNTEREXAMPLE
     cc = count_condition(compile_spec(parse_spec(COUNTEREXAMPLE)))
     assert cc.per_column == (True, True, True)
     assert cc.overall
@@ -257,7 +261,7 @@ def test_theorem6_count_mismatch_reported():
 def _theorem6_reference_ranks(s, c, spec, tol=DEFAULT_TOL):
     # the cross-check one stack at a time: one SVD of each unpadded
     # M_t = [Q_t f; 0; unit rows], its cutoff at its own k + t + 1 rows
-    f = assemble_f(s, spec, tol)
+    f = assemble_f(s, spec)
     n = c.dims.n
     ranks = []
     for t in range(n):
@@ -301,8 +305,8 @@ def test_theorem6_cutoffs_under_every_policy(monkeypatch):
     # each stack's rank against its own cutoff, for the default rule and an
     # absolute cutoff, at cutoffs that fall among the singular values (each
     # lowers some rank); a machine epsilon of 0.02 makes the default's row
-    # count k + t + 1 decide ranks.  A point whose A0 is singular under a
-    # cutoff is skipped.
+    # count k + t + 1 decide ranks.  Every point is compared: the cutoff does
+    # not decide whether A0 is invertible.
     points = []
     for entry in corpus():
         spec = parse_spec(entry.text)
@@ -316,10 +320,7 @@ def test_theorem6_cutoffs_under_every_policy(monkeypatch):
     lowered, compared = set(), 0
     for tol in policies:
         for name, s, c, spec, at_machine_eps in points:
-            try:
-                ranks = theorem6_check(s, c, spec, tol).ranks
-            except SingularA0Error:
-                continue
+            ranks = theorem6_check(s, c, spec, tol).ranks
             assert ranks == _theorem6_reference_ranks(s, c, spec, tol), (name, tol)
             compared += 1
             if ranks != at_machine_eps:

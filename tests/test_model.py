@@ -7,7 +7,6 @@ import pytest
 from numpy.testing import assert_allclose
 
 from svarident.errors import NotSymmetricError, SingularA0Error
-from svarident.linalg import DEFAULT_TOL
 from svarident.model import (
     ModelDims,
     ReducedFormParams,
@@ -79,9 +78,16 @@ def test_params_immutable():
 
 
 def test_to_reduced_form_rejects_singular():
+    # a singular A0 is refused where the point is built, by the default rule,
+    # before any map out of it; shape and finiteness are checked first
     dims = ModelDims(2, 0)
-    with pytest.raises(SingularA0Error):
-        to_reduced_form(StructuralParams(dims, np.zeros((2, 2)), np.zeros((1, 2))))
+    for a0 in (np.zeros((2, 2)), np.ones((2, 2)), np.diag([1.0, 1e-20])):
+        with pytest.raises(SingularA0Error, match="^A0 is numerically singular$"):
+            to_reduced_form(StructuralParams(dims, a0, np.zeros((1, 2))))
+    with pytest.raises(ValueError, match="Aplus must be 1x2"):
+        StructuralParams(dims, np.zeros((2, 2)), np.zeros((2, 2)))
+    with pytest.raises(ValueError, match="Aplus has non-finite entries"):
+        StructuralParams(dims, np.zeros((2, 2)), np.full((1, 2), np.nan))
 
 
 def test_reduced_form_sigma_exactly_symmetric():
@@ -153,10 +159,9 @@ def test_baseline_impact_equals_cholesky_factor():
 
 
 def test_ir_horizon_rejects_singular_a0():
-    s = StructuralParams(ModelDims(2, 1), np.zeros((2, 2)), np.ones((3, 2)))
     for h in (0, 1):
         with pytest.raises(SingularA0Error):
-            ir_horizon(s, h)
+            ir_horizon(StructuralParams(ModelDims(2, 1), np.zeros((2, 2)), np.ones((3, 2))), h)
 
 
 def test_ir_horizon_against_recursion_oracle():
@@ -194,7 +199,7 @@ def test_stacked_responses_equal_one_point_companion_powers():
         a0 = rng.standard_normal((m, n, n)) + 3.0 * np.eye(n)
         aplus = 0.3 * rng.standard_normal((m, n * p + 1, n)) / np.sqrt(n * p)
         horizons = [0, 1, 2, 7]
-        irs = _impulse_responses(a0, aplus, horizons, p, DEFAULT_TOL)
+        irs = _impulse_responses(a0, aplus, horizons, p)
         for i in range(m):
             ir0 = np.linalg.inv(a0[i]).T
             comp = companion_by_blocks(np.linalg.solve(a0[i].T, aplus[i].T).T, n, p)

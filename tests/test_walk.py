@@ -174,9 +174,9 @@ def test_infeasible_batch_raises_for_the_first_infeasible_point():
     cfg = SamplerConfig(dims=spec.dims, seed=0)
     b, sigma = _draw_stack(cfg, [stream_key(cfg.seed, i) for i in range(3)])
     with pytest.raises(InfeasibleRestrictionsError) as batched:
-        _build_columns(*_front(b, sigma, c, DEFAULT_TOL), c, DEFAULT_TOL)
+        _build_columns(*_front(b, sigma, c), c, DEFAULT_TOL)
     with pytest.raises(InfeasibleRestrictionsError) as single:
-        _build_columns(*_front(b[:1], sigma[:1], c, DEFAULT_TOL), c, DEFAULT_TOL)
+        _build_columns(*_front(b[:1], sigma[:1], c), c, DEFAULT_TOL)
     assert str(batched.value) == str(single.value)
     assert batched.value.diagnostics == single.value.diagnostics
 
@@ -228,7 +228,7 @@ def test_restricted_pivot_sign_ignores_rounding_noise():
     c = compile_spec(spec)
     for seed in range(6):
         r = draw_reduced_form(SamplerConfig(dims=spec.dims, seed=seed), 0)
-        a0, aplus, f = _front(r.B[None], r.Sigma[None], c, DEFAULT_TOL)
+        a0, aplus, f = _front(r.B[None], r.Sigma[None], c)
         walk = _build_columns(a0, aplus, f, c, DEFAULT_TOL)[0]
         p1 = walk.rotation.P[:, 0]
         image = a0[0] @ p1

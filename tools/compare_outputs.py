@@ -14,7 +14,8 @@ singular values).  It runs `demo`, and the error paths of
 `check`, `explain` and `rotate`: no `--spec`, a missing file, `--sigma
 ""`, `--tol nan`, `--tol 0`, `--draws 1`, a malformed document, and
 `--sigma` files that are asymmetric, hold a NaN, are indefinite or have
-the wrong shape and a `--b` file with a NaN, and `rotate` on
+the wrong shape, a `--b` file with a NaN beside `--sigma
+specs/sigma_eye3.txt`, and `rotate` on
 specs/overcounted3.spec.  It also renders walk-large's api-check JSON
 reports (`bench/ops.py` `run_api_check`), and walks walk-large's dense-Q
 api ops (`bench/ops.py` `run_api`: `nonredundancy_at` at each of the
@@ -88,15 +89,16 @@ def cases(work: Path) -> list[dict]:
     malformed = work / "malformed.spec"
     malformed.write_text("n = 3\np = 1\nblock A0\nx x\n", encoding="utf-8")
     bad_points = []  # one file per message of the point's checks, for recursive3
+    sigma_eye = ["--sigma", str(ROOT / "specs" / "sigma_eye3.txt")]  # --b needs a --sigma
     for name, option, text in (
-            ("asymmetric", "--sigma", "1 0.5 0\n0 1 0\n0 0 1\n"),
-            ("nan", "--sigma", "1 0 0\n0 nan 0\n0 0 1\n"),
-            ("indefinite", "--sigma", "1 2 0\n2 1 0\n0 0 1\n"),
-            ("shape", "--sigma", "1 0\n0 1\n"),
-            ("nan", "--b", "0 0 0\n0 nan 0\n0 0 0\n0 0 0\n")):
-        path = work / f"{option[2:]}-{name}.txt"
+            ("asymmetric", ["--sigma"], "1 0.5 0\n0 1 0\n0 0 1\n"),
+            ("nan", ["--sigma"], "1 0 0\n0 nan 0\n0 0 1\n"),
+            ("indefinite", ["--sigma"], "1 2 0\n2 1 0\n0 0 1\n"),
+            ("shape", ["--sigma"], "1 0\n0 1\n"),
+            ("nan", [*sigma_eye, "--b"], "0 0 0\n0 nan 0\n0 0 0\n0 0 0\n")):
+        path = work / f"{option[-1][2:]}-{name}.txt"
         path.write_text(text, encoding="utf-8")
-        bad_points.append(["--spec", rec3, option, str(path)])
+        bad_points.append(["--spec", rec3, *option, str(path)])
     for command in ("check", "explain", "rotate"):
         out += [{"argv": [command, *argv]} for argv in (
             [], ["--spec", str(work / "missing.spec")], ["--spec", rec3, "--sigma", ""],
