@@ -1,6 +1,6 @@
 """Module entry point so `python -m svarident` behaves like the console script."""
 
-from .cli import main
+from .cli import entry
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    entry()

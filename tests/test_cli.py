@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import shutil
@@ -36,10 +37,14 @@ SIGMA_EYE = str(ROOT / "specs" / "sigma_eye3.txt")
 
 
 def run_cli(*argv):
+    return run_python("-m", "svarident", *argv)
+
+
+def run_python(*args):
     # the child imports the package from src/ whether or not it is installed
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-m", "svarident", *argv],
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         cwd=ROOT,
@@ -532,12 +537,14 @@ def test_one_parser_serves_every_call(monkeypatch, capsys):
         ("explain", "--spec", CEX, "--format", "json"),
     ]
     cli._build_parser.cache_clear()
+    frozen = gc.get_freeze_count()
     in_process = []
     for argv in calls:
         code = main(list(argv))
         captured = capsys.readouterr()
         in_process.append((code, captured.out, captured.err))
     assert cli._build_parser.cache_info().misses == 1
+    assert gc.get_freeze_count() == frozen  # only entry() freezes the heap
     assert [code for code, _, _ in in_process] == [1, 0, 1, 2, 0]
     for argv, got in zip(calls, in_process):
         assert got == run_cli(*argv), argv
@@ -547,16 +554,40 @@ def test_module_entrypoint():
     code, out, _ = run_cli("check", "--spec", CEX)
     assert code == 2
     assert "NotIdentified_Redundancy" in out
+    # `python -m svarident` ends through entry(), which froze the heap
+    child = (
+        "import gc, runpy, sys\n"
+        f"sys.argv = ['svarident', 'check', '--spec', {CEX!r}]\n"
+        "try:\n"
+        "    runpy.run_module('svarident', run_name='__main__')\n"
+        "except SystemExit as exc:\n"
+        "    print(exc.code, gc.get_freeze_count() > 0, file=sys.stderr)\n"
+    )
+    assert run_python("-c", child) == (0, out, "2 True\n")
 
 
 def test_entry_exits_with_the_code_of_main(monkeypatch, capsys):
     # the console script's target, in process: test_console_script below
-    # skips where the script is not on PATH
+    # skips where the script is not on PATH.  gc.freeze is recorded, not
+    # run, so that pytest's own heap stays collectable
+    calls = []
+    monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+    cli_main = cli.main
+
+    def recorded_main(argv=None):
+        calls.append("main")
+        return cli_main(argv)
+
+    monkeypatch.setattr(cli, "main", recorded_main)
     monkeypatch.setattr(sys, "argv", ["svar-ident", "demo"])
     with pytest.raises(SystemExit) as exc:
         cli.entry()
+    assert calls == ["freeze", "main"]
     assert exc.value.code == 0
-    assert "p1 = (1, 0, 0)" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "p1 = (1, 0, 0)" in out
+    assert cli_main(["demo"]) == 0
+    assert capsys.readouterr().out == out
 
 
 @pytest.mark.skipif(shutil.which("svar-ident") is None, reason="script not on PATH")

@@ -13,6 +13,17 @@ Unlike `bench/traced.py`, which re-does an op through each layer's public
 function, this times the op's own calls, so a walk the op no longer makes
 shows as a layer that is gone.
 
+W may also be cli-cold: then each of its ops runs in a fresh child, as
+the benchmark runs it, but through `svarident.cli.entry()` with `main`
+wrapped.  The child writes time.perf_counter() marks (CLOCK_MONOTONIC,
+which parent and child share on Linux) to a pipe after `import
+svarident.cli` and after `main` returns, and the op's wall time splits
+into start (from the parent's spawn to the child's first mark), import,
+command (`main`) and exit (from `main`'s return to the parent's `wait`:
+the interpreter's finalization, output flushing included).  Each op kind
+gets the medians of its phases over C cycles and a JSON line.  The
+layer timers below do not apply to it.
+
 Layers and what they time (self time: a layer's nested layers are
 subtracted, except inside `theorem6`, which counts everything below it):
   sample            draw_reduced_form / the stacked draw
@@ -241,10 +252,86 @@ def measure(run, ops, args) -> None:
                       "parse_ms_per_op": parts.get("parse+compile", {})}))
 
 
+# a cli-cold child: argv is [fd of the marks pipe, *the op's CLI arguments]
+COLD_CHILD = """\
+import os, sys, time
+start = time.perf_counter()
+import svarident.cli as cli
+imported = time.perf_counter()
+fd = int(sys.argv.pop(1))
+main = cli.main
+
+def timed_main(argv=None):
+    code = main(argv)
+    os.write(fd, " ".join(map(repr, (start, imported, time.perf_counter()))).encode())
+    return code
+
+cli.main = timed_main
+cli.entry()
+"""
+PHASES = ("start", "import", "command", "exit", "total")
+
+
+def cold_op(src: Path, argv: list[str]) -> tuple[int, str, dict[str, float]]:
+    """Run one cli-cold op in a fresh child: (exit code, stderr, phase ms)."""
+    import subprocess
+
+    from ops import child_env
+
+    r, w = os.pipe()
+    with os.fdopen(r, "rb") as pipe:
+        spawned = time.perf_counter()
+        try:
+            proc = subprocess.Popen([sys.executable, "-c", COLD_CHILD, str(w), *argv],
+                                    cwd=ROOT, env=child_env(src), pass_fds=(w,), text=True,
+                                    stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        finally:
+            os.close(w)  # the child holds the only write end: EOF once it ends
+        with proc:
+            _, err = proc.communicate()
+            waited = time.perf_counter()
+        marks = pipe.read().decode()
+    if not marks:
+        return proc.returncode, err, {}
+    start, imported, returned = map(float, marks.split())
+    ms = {"start": start - spawned, "import": imported - start, "command": returned - imported,
+          "exit": waited - returned, "total": waited - spawned}
+    return proc.returncode, err, {k: v * 1000.0 for k, v in ms.items()}
+
+
+def measure_cold(args, work: Path) -> None:
+    """Time each cli-cold op's phases in fresh children; print a table
+    and a JSON line per op kind."""
+    from workloads import cli_cold, op_seed, write_inputs
+
+    src = Path(args.src).resolve()
+    ops = write_inputs(cli_cold(args.seed), args.seed, work)
+    cold_op(src, ops[0].argv(op_seed(args.seed, 0, 0)))  # warm-up
+    phases: dict[str, dict[str, list[float]]] = {}
+    for cycle in range(args.cycles):
+        for i, op in enumerate(ops):
+            code, err, ms = cold_op(src, op.argv(op_seed(args.seed, cycle, i)))
+            if code not in (0, 2) or not ms:
+                raise SystemExit(f"op {i} exited {code}: {err.strip()}")
+            times = phases.setdefault(op.kind, {phase: [] for phase in PHASES})
+            for phase, value in ms.items():
+                times[phase].append(value)
+    for kind, times in phases.items():
+        medians = {phase: statistics.median(values) for phase, values in times.items()}
+        n_ops = len(times["total"])
+        print(f"{n_ops} {kind} ops ({args.workload} seed {args.seed}, {args.cycles} cycles), "
+              f"src {args.src}")
+        for phase, ms in medians.items():
+            print(f"  {phase:17s} {ms:7.3f} ms median")
+        print(json.dumps({"src": args.src, "seed": args.seed, "ops": n_ops,
+                          "workload": args.workload, "kind": kind, "median_ms": medians}))
+
+
 def report_layers() -> None:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--src", default=str(ROOT), help="checkout whose src/ is measured")
-    ap.add_argument("--workload", choices=("screen-small", "walk-large"), default="screen-small")
+    ap.add_argument("--workload", choices=("screen-small", "walk-large", "cli-cold"),
+                    default="screen-small")
     ap.add_argument("--seed", type=int, default=1, help="workload seed")
     ap.add_argument("--cycles", type=int, default=5, help="passes over the check ops")
     args = ap.parse_args()
@@ -252,6 +339,9 @@ def report_layers() -> None:
     import tempfile
 
     with tempfile.TemporaryDirectory() as work:
+        if args.workload == "cli-cold":
+            measure_cold(args, Path(work))
+            return
         groups, run = workload_ops(args.workload, args.seed, Path(work))
         for ops in groups.values():
             measure(run, ops, args)

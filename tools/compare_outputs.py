@@ -28,7 +28,12 @@ RestrictionSpec, the CompiledRestrictions, the IdentificationReport of
 check_exact_identification and the PICK_ARBITRARY RotationResult of
 construct_rotation at draw 0.  The cases run against src/
 of this checkout and src/ of the tree at PATH, each tree in its own
-child process, in-process through `svarident.cli.main`.  Every case
+child process, in-process through `svarident.cli.main`.  Process cases
+start a fresh `python -m svarident` child each, so that the start and
+exit path (`cli.entry()`) is compared too: `check`, `explain` and
+`rotate`, text and JSON, at draw seed 11 over the cli-cold specs at
+seeds 1-2, `demo`, and the error paths no `--spec`, a missing file and
+`--tol nan`.  Every case
 whose stdout, stderr or exit code differs is printed with a unified
 diff; the exit status is 1 when any case differs.
 """
@@ -49,6 +54,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = range(1, 9)  # screen-small and cli-cold
+PROCESS_SEEDS = range(1, 3)  # cli-cold, also through `python -m svarident`
 DRAW_SEEDS = (11, 12)
 WALK_LARGE_SEEDS = range(1, 5)
 
@@ -71,7 +77,13 @@ def cases(work: Path) -> list[dict]:
         for seed in SEEDS:
             sub = work / f"{workload.__name__}-{seed}"
             sub.mkdir()
-            docs += [op.path for op in write_inputs(workload(seed), seed, sub)]
+            paths = [op.path for op in write_inputs(workload(seed), seed, sub)]
+            docs += paths
+            if workload is cli_cold and seed in PROCESS_SEEDS:
+                out += [{"process": [command, "--spec", doc, "--format", fmt,
+                                     "--seed", str(DRAW_SEEDS[0])]}
+                        for doc in paths for command in ("check", "explain", "rotate")
+                        for fmt in ("text", "json")]
     for doc in docs:
         variants = [["--seed", str(s)] for s in DRAW_SEEDS]
         if parse_spec(Path(doc).read_text(encoding="utf-8")).dims.n == 3:
@@ -105,6 +117,10 @@ def cases(work: Path) -> list[dict]:
             ["--spec", rec3, "--tol", "nan"], ["--spec", rec3, "--tol", "0"],
             ["--spec", rec3, "--draws", "1"], ["--spec", str(malformed)], *bad_points)]
     out.append({"argv": ["rotate", "--spec", str(ROOT / "specs" / "overcounted3.spec")]})
+    out.append({"process": ["demo"]})
+    out += [{"process": [command, *argv]} for command in ("check", "explain", "rotate")
+            for argv in ([], ["--spec", str(work / "missing.spec")],
+                         ["--spec", rec3, "--tol", "nan"])]
     for seed in WALK_LARGE_SEEDS:
         sub = work / f"walk_large-{seed}"
         sub.mkdir()
@@ -175,6 +191,12 @@ def run_cases(cases_path: str, out_path: str) -> None:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             if "argv" in case:
                 code = main(case["argv"])
+            elif "process" in case:  # a fresh child, which imports this tree's src/
+                proc = subprocess.run([sys.executable, "-m", "svarident", *case["process"]],
+                                      capture_output=True, text=True)
+                code = proc.returncode
+                out.write(proc.stdout)
+                err.write(proc.stderr)
             elif "records" in case:
                 code = 0
                 out.write(records(svarident, case["records"], case["seed"]))
@@ -223,6 +245,7 @@ def main() -> int:
             continue
         differ += 1
         print("DIFF", " ".join(case["argv"]) if "argv" in case else
+              "python -m svarident " + " ".join(case["process"]) if "process" in case else
               f"records {case['records']} --seed {case['seed']}" if "records" in case else
               f"walk-large op {case['walk_large'][1]} {case['walk_large'][2]} --seed {case['seed']}")
         if base[0] != this[0]:
