@@ -10,17 +10,10 @@ does not.
 """
 
 from .errors import (
-    CountConditionError,
-    DimensionMismatchError,
-    DuplicateBlockError,
     InfeasibleRestrictionsError,
     NotPositiveDefiniteError,
-    NotSymmetricError,
-    SingularA0Error,
     SpecError,
-    SpecSyntaxError,
     SvarIdentError,
-    UnknownBlockError,
     UnrestrictedPointError,
 )
 from .linalg import RankTolerance
@@ -71,29 +64,22 @@ __all__ = [
     "ColumnStatus",
     "CompiledRestrictions",
     "CountCondition",
-    "CountConditionError",
-    "DimensionMismatchError",
     "DrawRecord",
-    "DuplicateBlockError",
     "IdentificationReport",
     "ImplicatedCell",
     "InfeasibleRestrictionsError",
     "ModelDims",
     "NotPositiveDefiniteError",
-    "NotSymmetricError",
     "OnRedundancy",
     "RankTolerance",
     "ReducedFormParams",
     "RestrictionSpec",
     "RotationResult",
     "SamplerConfig",
-    "SingularA0Error",
     "SpecError",
-    "SpecSyntaxError",
     "StructuralParams",
     "SvarIdentError",
     "Theorem6Result",
-    "UnknownBlockError",
     "UnrestrictedPointError",
     "Verdict",
     "assemble_f",

@@ -3,8 +3,10 @@
 Commands: check (verdict over sampled draws or an explicit point), rotate
 (construct a restriction-satisfying rotation), demo (walk through the
 built-in counting-is-not-enough fixture), explain (name the redundant
-cells).  Exit codes: 0 identified or success, 1 usage or I/O problem,
-2 not identified / infeasible / nothing to explain, 3 inconclusive.
+cells).  Exit codes: 0 identified or success, 1 usage or I/O problem
+(a bad document, option or --sigma/--b point), 2 not identified /
+infeasible / nothing to explain, 3 inconclusive, 4 a drawn point that
+does not factor or whose f overflows.
 """
 
 from __future__ import annotations
@@ -171,12 +173,7 @@ def _cmd_rotate(args) -> int:
     if r is None:
         r = draw_reduced_form(cfg, 0)
         source = f"sampled (seed {args.seed}, draw 0)"
-    try:
-        walk, s_rot = _picked(r, c, tol, 0)
-    except InfeasibleRestrictionsError as exc:
-        print(f"svar-ident: infeasible: {exc}", file=sys.stderr)
-        return 2
-
+    walk, s_rot = _picked(r, c, tol, 0)
     residual = restriction_residual(s_rot, c, spec)
     rotated = (s_rot.A0, s_rot.Aplus)
     if args.format == "json":
@@ -258,11 +255,21 @@ def main(argv=None) -> int:
         "demo": _cmd_demo,
         "explain": _cmd_explain,
     }
+    # the one place an exception becomes an exit code.  Past SpecError and
+    # InfeasibleRestrictionsError, every SvarIdentError that gets here is
+    # numerical (_check catches UnrestrictedPointError): a Sigma that does not
+    # factor or an f that overflows.  At a drawn point (no --sigma/--b) that
+    # is exit 4; at a point the user supplied it is exit 1, as bad input.
     try:
         return handlers[args.command](args)
-    except (OSError, ValueError, SvarIdentError) as exc:  # the one place an error becomes exit 1
+    except InfeasibleRestrictionsError as exc:  # rotate: a column admits no unit vector
+        print(f"svar-ident: infeasible: {exc}", file=sys.stderr)
+        return 2
+    except (OSError, ValueError, SvarIdentError) as exc:
         print(f"svar-ident: error: {exc}", file=sys.stderr)
-        return 1
+        numerical = isinstance(exc, SvarIdentError) and not isinstance(exc, SpecError)
+        drawn = getattr(args, "sigma", None) is None and getattr(args, "b", None) is None
+        return 4 if numerical and drawn else 1
 
 
 def entry() -> None:

@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.  A refused argument (an
+asymmetric Sigma, a singular A0, a count failure) is a ValueError instead."""
 
 from __future__ import annotations
 
@@ -7,16 +8,8 @@ class SvarIdentError(Exception):
     """Base class for every error raised by svarident."""
 
 
-class NotSymmetricError(SvarIdentError):
-    """A matrix required to be symmetric is not, beyond tolerance."""
-
-
 class NotPositiveDefiniteError(SvarIdentError):
     """Cholesky factorization hit a nonpositive pivot."""
-
-
-class SingularA0Error(SvarIdentError):
-    """The contemporaneous coefficient matrix is numerically singular."""
 
 
 class SpecError(SvarIdentError):
@@ -30,26 +23,6 @@ class SpecError(SvarIdentError):
         elif line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
-
-
-class SpecSyntaxError(SpecError):
-    """Token or line that the restriction grammar does not allow."""
-
-
-class DimensionMismatchError(SpecError):
-    """Pattern row or block with the wrong number of entries."""
-
-
-class UnknownBlockError(SpecError):
-    """Block name outside A0, LAG1..LAGp, IR0, IR1, ..."""
-
-
-class DuplicateBlockError(SpecError):
-    """The same block declared twice."""
-
-
-class CountConditionError(SvarIdentError):
-    """Operation requires the counting condition to hold and it does not."""
 
 
 class UnrestrictedPointError(SvarIdentError):

@@ -18,12 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    CountConditionError,
-    InfeasibleRestrictionsError,
-    SvarIdentError,
-    UnrestrictedPointError,
-)
+from .errors import InfeasibleRestrictionsError, SvarIdentError, UnrestrictedPointError
 from .linalg import DEFAULT_TOL, RankTolerance, _Record
 from .model import ReducedFormParams, StructuralParams, _baseline_stack
 from .restrictions import (
@@ -171,9 +166,7 @@ def _require_count(c: CompiledRestrictions) -> None:
     cc = count_condition(c)
     if not cc.overall:
         bad = [t + 1 for t, ok in enumerate(cc.per_column) if not ok]
-        raise CountConditionError(
-            f"counting condition fails at permuted column(s) {bad}; q = {tuple(c.q)}"
-        )
+        raise ValueError(f"counting condition fails at permuted column(s) {bad}; q = {tuple(c.q)}")
 
 
 def _pinned_pivots(c: CompiledRestrictions) -> np.ndarray:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NotPositiveDefiniteError, NotSymmetricError, SingularA0Error, SvarIdentError
+from .errors import NotPositiveDefiniteError, SvarIdentError
 from .linalg import _Record, as_matrix, numerical_rank
 
 # Sigma's symmetry test: max|S - S'| may be at most this times max|S|
@@ -62,7 +62,7 @@ class StructuralParams(_Record):
         object.__setattr__(self, "A0", a0)
         object.__setattr__(self, "Aplus", _admit(self.Aplus, "Aplus", (self.dims.m, n)))
         if numerical_rank(a0) < n:
-            raise SingularA0Error("A0 is numerically singular")
+            raise ValueError("A0 is numerically singular")
 
 
 class ReducedFormParams(_Record):
@@ -78,7 +78,7 @@ class ReducedFormParams(_Record):
         object.__setattr__(self, "B", _admit(self.B, "B", (self.dims.m, n)))
         s = _admit(self.Sigma, "Sigma", (n, n))
         if float(np.abs(s - s.T).max()) > _SYM_TOL * float(np.abs(s).max()):
-            raise NotSymmetricError("Sigma must be symmetric")
+            raise ValueError("Sigma must be symmetric")
         object.__setattr__(self, "Sigma", s)
 
 

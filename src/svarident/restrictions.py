@@ -14,12 +14,7 @@ import re
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    DuplicateBlockError,
-    SpecSyntaxError,
-    UnknownBlockError,
-)
+from .errors import SpecError
 from .linalg import _Record, as_matrix, numerical_rank
 from .model import _FLOORS, ModelDims, StructuralParams, _impulse_responses
 
@@ -54,10 +49,10 @@ def _admit_block(kind: str, index: int, p: int, earlier, line: int | None = None
     earlier, held to the rules of every block list: a lag lies in
     LAG1..LAGp, and no block is declared twice.  line locates the header."""
     if kind == "LAG" and not 1 <= index <= p:
-        raise UnknownBlockError(f"LAG{index} is outside LAG1..LAG{p}", line=line)
+        raise SpecError(f"LAG{index} is outside LAG1..LAG{p}", line=line)
     block = BlockId(kind, index)
     if block.label in [b.label for b, _ in earlier]:
-        raise DuplicateBlockError(f"block {block.label} declared twice", line=line)
+        raise SpecError(f"block {block.label} declared twice", line=line)
     return block
 
 
@@ -79,9 +74,7 @@ class RestrictionSpec(_Record):
             _admit_block(block.kind, block.index, self.dims.p, frozen)
             arr = np.array(mask, dtype=bool)
             if arr.shape != (n, n):
-                raise DimensionMismatchError(
-                    f"block {block.label} mask must be {n}x{n}, got {arr.shape}"
-                )
+                raise SpecError(f"block {block.label} mask must be {n}x{n}, got {arr.shape}")
             arr.setflags(write=False)
             frozen.append((block, arr))
         object.__setattr__(self, "blocks", tuple(frozen))
@@ -95,7 +88,7 @@ def _check_closed(blocks, rows, dims: dict, line: int) -> None:
     """A header, an `n =`/`p =` line or the end of the text closes the open
     block: its row list, rows (None when no block is open), must hold n rows."""
     if rows is not None:
-        raise DimensionMismatchError(
+        raise SpecError(
             f"block {blocks[-1][0].label} has {len(rows)} pattern rows, expected {dims['n']}",
             line=line,
         )
@@ -115,7 +108,7 @@ def parse_spec(text: str) -> RestrictionSpec:
         assign = "=" in stripped and _ASSIGN_RE.match(stripped)
         if not assign and not stripped.startswith("block"):
             if rows is None:
-                raise SpecSyntaxError(f"unexpected line {stripped!r}", line=line_no)
+                raise SpecError(f"unexpected line {stripped!r}", line=line_no)
             row: list[bool] = []
             for cell in line.split():
                 if cell == "0":
@@ -124,47 +117,44 @@ def parse_spec(text: str) -> RestrictionSpec:
                     row.append(False)
                 else:
                     col = line.index(cell) + 1
-                    raise SpecSyntaxError(
-                        f"cell must be '0' or 'x', got {cell!r}", line=line_no, col=col
-                    )
+                    raise SpecError(f"cell must be '0' or 'x', got {cell!r}", line=line_no, col=col)
             if len(row) != dims["n"]:
-                raise DimensionMismatchError(
-                    f"pattern row has {len(row)} cells, expected n = {dims['n']}", line=line_no
-                )
+                raise SpecError(f"pattern row has {len(row)} cells, expected n = {dims['n']}",
+                                line=line_no)
             rows.append(row)
             if len(rows) == dims["n"]:
                 rows = None
             continue
         parts = stripped.split()
         if not assign and (len(parts) != 2 or parts[0] != "block"):
-            raise SpecSyntaxError(f"expected 'block <name>', got {stripped!r}", line=line_no)
+            raise SpecError(f"expected 'block <name>', got {stripped!r}", line=line_no)
         _check_closed(blocks, rows, dims, line_no)
         if assign:
             name, value = assign.groups()
             if not _INT_RE.fullmatch(value):
-                raise SpecSyntaxError(f"{name} must be an integer, got {value!r}", line=line_no)
+                raise SpecError(f"{name} must be an integer, got {value!r}", line=line_no)
             number = int(value)
             if name in dims:
-                raise SpecSyntaxError(f"{name} declared twice", line=line_no)
+                raise SpecError(f"{name} declared twice", line=line_no)
             floor, message = _FLOORS[name]
             if number < floor:
-                raise SpecSyntaxError(message, line=line_no)
+                raise SpecError(message, line=line_no)
             dims[name] = number
             continue
         if len(dims) < 2:
-            raise SpecSyntaxError("n and p must be declared before the first block", line=line_no)
+            raise SpecError("n and p must be declared before the first block", line=line_no)
         match = _BLOCK_RE.fullmatch(parts[1])
         if match is None:
-            raise UnknownBlockError(f"unknown block name {parts[1]!r}", line=line_no)
+            raise SpecError(f"unknown block name {parts[1]!r}", line=line_no)
         kind, digits = match.groups()
         block = _admit_block(kind or "A0", int(digits or 0), dims["p"], blocks, line_no)
         rows = []
         blocks.append((block, rows))
     _check_closed(blocks, rows, dims, len(lines))
     if len(dims) < 2:
-        raise SpecSyntaxError("document must declare n and p")
+        raise SpecError("document must declare n and p")
     if not blocks:
-        raise SpecSyntaxError("document declares no blocks")
+        raise SpecError("document declares no blocks")
     return RestrictionSpec(ModelDims(dims["n"], dims["p"]), tuple(blocks))
 
 

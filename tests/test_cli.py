@@ -286,6 +286,23 @@ def test_bad_point_files_are_refused_with_one_message(tmp_path, capsys):
                 captured = capsys.readouterr()
                 assert (code, captured.out) == (1, ""), (option, text, command, fmt)
                 assert captured.err == f"svar-ident: error: {reason.format(path=path)}\n", (command, fmt)
+    # a numerical fault exits 1 at a point the user supplied, and 4 at a drawn one
+    ir5000 = tmp_path / "ir5000.spec"
+    ir5000.write_text("n = 2\np = 1\nblock IR5000\nx 0\nx x\n", encoding="utf-8")
+    explosive = tmp_path / "b-explosive.txt"
+    explosive.write_text("2 0\n0 2\n0 0\n", encoding="utf-8")
+    eye = tmp_path / "sigma-eye2.txt"
+    eye.write_text("1 0\n0 1\n", encoding="utf-8")
+    overflow = "f is not finite: an impulse-response block overflows"
+    for argv, code, reason in (
+        ([], 4, f"draw 2 (seed 16452687389592421897): {overflow}"),
+        (["--sigma", str(eye), "--b", str(explosive)], 1, overflow),
+    ):
+        for command in ("check", "explain"):
+            for fmt in ("text", "json"):
+                got = main([command, "--spec", str(ir5000), *argv, "--format", fmt])
+                assert (got, *capsys.readouterr()) == (code, "", f"svar-ident: error: {reason}\n"), \
+                    (command, argv, fmt)
 
 
 def test_a_point_that_would_fill_in_a_verdict_changing_file_is_refused(tmp_path, capsys):

@@ -115,7 +115,7 @@ def test_first_draw_that_does_not_factor_is_named(tmp_path, capsys):
     path = tmp_path / "rec40.spec"
     path.write_text(recursive_spec_text(40, 1), encoding="utf-8")
     capsys.readouterr()
-    assert main(["check", "--spec", str(path), "--seed", str(FAILING_SEED), "--draws", "10"]) == 1
+    assert main(["check", "--spec", str(path), "--seed", str(FAILING_SEED), "--draws", "10"]) == 4
     err = capsys.readouterr().err
     assert err.startswith("svar-ident: error: ")
     assert f"draw {first} (seed {stream_key(FAILING_SEED, first)})" in err
@@ -155,7 +155,7 @@ def test_an_overflowing_f_names_its_draw_without_numpy_warnings(tmp_path, capsys
             check_exact_identification(parse_spec(text), draws=5)
         assert str(err.value) == message
         capsys.readouterr()
-        assert main(["check", "--spec", str(path)]) == 1
+        assert main(["check", "--spec", str(path)]) == 4
     assert capsys.readouterr() == ("", f"svar-ident: error: {message}\n")
 
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from svarident.errors import NotPositiveDefiniteError, NotSymmetricError
+from svarident.errors import NotPositiveDefiniteError
 from svarident.linalg import DEFAULT_TOL, RankTolerance, numerical_rank
 from svarident.model import ModelDims, ReducedFormParams, baseline_structural
 
@@ -54,7 +54,7 @@ def test_cholesky_roundtrip_random():
 
 def test_cholesky_rejects_asymmetric():
     # Sigma's symmetry is checked where it enters ReducedFormParams
-    with pytest.raises(NotSymmetricError, match="^Sigma must be symmetric$"):
+    with pytest.raises(ValueError, match="^Sigma must be symmetric$"):
         _baseline_a0([[1.0, 0.5], [0.0, 1.0]])
 
 

@@ -6,13 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from svarident.errors import (
-    DimensionMismatchError,
-    DuplicateBlockError,
-    SpecError,
-    SpecSyntaxError,
-    UnknownBlockError,
-)
+from svarident.errors import SpecError
 from svarident.cli import main
 from svarident.fixtures import COUNTEREXAMPLE
 from svarident.model import ModelDims, StructuralParams, baseline_structural, ir_horizon
@@ -59,7 +53,7 @@ def test_a_leading_byte_order_mark_is_ignored(tmp_path, capsys):
         plain, marked = parse_spec(text), parse_spec("\ufeff" + text)
         assert marked.dims == plain.dims
         assert [(b, m.tolist()) for b, m in marked.blocks] == [(b, m.tolist()) for b, m in plain.blocks]
-    with pytest.raises(SpecSyntaxError, match=r"^line 3: unexpected line 'x x'$"):
+    with pytest.raises(SpecError, match=r"^line 3: unexpected line 'x x'$"):
         parse_spec("\ufeffn = 2\np = 1\nx x\n")
     path = tmp_path / "bom.spec"
     path.write_text(COUNTEREXAMPLE, encoding="utf-8-sig")
@@ -79,15 +73,15 @@ def test_parse_deterministic():
 
 
 def test_parse_error_locations():
-    with pytest.raises(SpecSyntaxError) as exc:
+    with pytest.raises(SpecError, match="^line 4, column 3: cell must be '0' or 'x', got 'q'$") as exc:
         parse_spec("n = 2\np = 1\nblock A0\nx q\nx x\n")
     assert exc.value.line == 4 and exc.value.col == 3
 
-    with pytest.raises(DimensionMismatchError) as exc:
+    with pytest.raises(SpecError, match="^line 4: pattern row has 3 cells, expected n = 2$") as exc:
         parse_spec("n = 2\np = 1\nblock A0\nx x x\nx x\n")
     assert exc.value.line == 4
 
-    with pytest.raises(SpecSyntaxError) as exc:
+    with pytest.raises(SpecError, match="^line 1: n must be an integer, got 'two'$") as exc:
         parse_spec("n = two\np = 1\nblock A0\nx x\nx x\n")
     assert exc.value.line == 1
 
@@ -95,74 +89,62 @@ def test_parse_error_locations():
 HEAD = "n = 2\np = 1\n"
 A0 = "block A0\nx x\nx x\n"
 
-# every rule a document is held to: (text, class, line, column, message);
+# every rule a document is held to, each a SpecError: (text, line, column, message);
 # line and column are 1-based, None where the error has none
 DOCUMENT_RULES = [
-    ("n = two\np = 1\n" + A0, SpecSyntaxError, 1, None, "n must be an integer, got 'two'"),
-    ("n = 2\np = 1.5\n" + A0, SpecSyntaxError, 2, None, "p must be an integer, got '1.5'"),
+    ("n = two\np = 1\n" + A0, 1, None, "n must be an integer, got 'two'"),
+    ("n = 2\np = 1.5\n" + A0, 2, None, "p must be an integer, got '1.5'"),
     # int() takes these too; a document's integers are ASCII digits only
-    ("n = 0_2\np = 1\n" + A0, SpecSyntaxError, 1, None, "n must be an integer, got '0_2'"),
-    ("n = 2\np = \uff10\n" + A0, SpecSyntaxError, 2, None, "p must be an integer, got '\uff10'"),
-    ("n = \u0662\np = 1\n" + A0, SpecSyntaxError, 1, None, "n must be an integer, got '\u0662'"),
-    ("n = 2\nn = 3\np = 1\n" + A0, SpecSyntaxError, 2, None, "n declared twice"),
-    (HEAD + "p = 2\n" + A0, SpecSyntaxError, 3, None, "p declared twice"),
-    ("n = 0\np = 1\nblock A0\n", SpecSyntaxError, 1, None, "n must be at least 1"),
-    ("n = 2\np = -1\n" + A0, SpecSyntaxError, 2, None, "p must be nonnegative"),
-    (HEAD + "block\nx x\nx x\n", SpecSyntaxError, 3, None, "expected 'block <name>', got 'block'"),
-    (HEAD + "block A0 IR0\n", SpecSyntaxError, 3, None,
-     "expected 'block <name>', got 'block A0 IR0'"),
-    (HEAD + "blocks A0\n", SpecSyntaxError, 3, None,
-     "expected 'block <name>', got 'blocks A0'"),
-    (A0 + HEAD, SpecSyntaxError, 1, None, "n and p must be declared before the first block"),
-    ("n = 2\n" + A0 + "p = 1\n", SpecSyntaxError, 2, None,
-     "n and p must be declared before the first block"),
-    (HEAD + "block B0\nx x\nx x\n", UnknownBlockError, 3, None, "unknown block name 'B0'"),
-    (HEAD + "block LAG2\nx x\nx x\n", UnknownBlockError, 3, None, "LAG2 is outside LAG1..LAG1"),
-    (HEAD + "block LAG0\nx x\nx x\n", UnknownBlockError, 3, None, "LAG0 is outside LAG1..LAG1"),
-    ("n = 2\np = 0\nblock LAG1\n", UnknownBlockError, 3, None, "LAG1 is outside LAG1..LAG0"),
-    (HEAD + A0 + "block IR0\nx x\nx x\n" + A0, DuplicateBlockError, 9, None,
-     "block A0 declared twice"),
-    (HEAD + "block LAG01\nx x\nx x\nblock LAG1\n", DuplicateBlockError, 6, None,
-     "block LAG1 declared twice"),
-    (HEAD + "block A0\nx q\nx x\n", SpecSyntaxError, 4, 3, "cell must be '0' or 'x', got 'q'"),
-    (HEAD + "block A0\n  0  x0 x\nx x\n", SpecSyntaxError, 4, 6,
-     "cell must be '0' or 'x', got 'x0'"),
-    (HEAD + "block A0\nx x x\nx x\n", DimensionMismatchError, 4, None,
-     "pattern row has 3 cells, expected n = 2"),
-    (HEAD + "block A0\nx\nx x\n", DimensionMismatchError, 4, None,
-     "pattern row has 1 cells, expected n = 2"),
-    (HEAD + "block A0\nx x\nblock IR0\nx x\nx x\n", DimensionMismatchError, 5, None,
+    ("n = 0_2\np = 1\n" + A0, 1, None, "n must be an integer, got '0_2'"),
+    ("n = 2\np = \uff10\n" + A0, 2, None, "p must be an integer, got '\uff10'"),
+    ("n = \u0662\np = 1\n" + A0, 1, None, "n must be an integer, got '\u0662'"),
+    ("n = 2\nn = 3\np = 1\n" + A0, 2, None, "n declared twice"),
+    (HEAD + "p = 2\n" + A0, 3, None, "p declared twice"),
+    ("n = 0\np = 1\nblock A0\n", 1, None, "n must be at least 1"),
+    ("n = 2\np = -1\n" + A0, 2, None, "p must be nonnegative"),
+    (HEAD + "block\nx x\nx x\n", 3, None, "expected 'block <name>', got 'block'"),
+    (HEAD + "block A0 IR0\n", 3, None, "expected 'block <name>', got 'block A0 IR0'"),
+    (HEAD + "blocks A0\n", 3, None, "expected 'block <name>', got 'blocks A0'"),
+    (A0 + HEAD, 1, None, "n and p must be declared before the first block"),
+    ("n = 2\n" + A0 + "p = 1\n", 2, None, "n and p must be declared before the first block"),
+    (HEAD + "block B0\nx x\nx x\n", 3, None, "unknown block name 'B0'"),
+    (HEAD + "block LAG2\nx x\nx x\n", 3, None, "LAG2 is outside LAG1..LAG1"),
+    (HEAD + "block LAG0\nx x\nx x\n", 3, None, "LAG0 is outside LAG1..LAG1"),
+    ("n = 2\np = 0\nblock LAG1\n", 3, None, "LAG1 is outside LAG1..LAG0"),
+    (HEAD + A0 + "block IR0\nx x\nx x\n" + A0, 9, None, "block A0 declared twice"),
+    (HEAD + "block LAG01\nx x\nx x\nblock LAG1\n", 6, None, "block LAG1 declared twice"),
+    (HEAD + "block A0\nx q\nx x\n", 4, 3, "cell must be '0' or 'x', got 'q'"),
+    (HEAD + "block A0\n  0  x0 x\nx x\n", 4, 6, "cell must be '0' or 'x', got 'x0'"),
+    (HEAD + "block A0\nx x x\nx x\n", 4, None, "pattern row has 3 cells, expected n = 2"),
+    (HEAD + "block A0\nx\nx x\n", 4, None, "pattern row has 1 cells, expected n = 2"),
+    (HEAD + "block A0\nx x\nblock IR0\nx x\nx x\n", 5, None,
      "block A0 has 1 pattern rows, expected 2"),
-    (HEAD + "block A0\nx x\np = 1\n", DimensionMismatchError, 5, None,
-     "block A0 has 1 pattern rows, expected 2"),
-    (HEAD + "block A0\n", DimensionMismatchError, 3, None,
-     "block A0 has 0 pattern rows, expected 2"),
-    (HEAD + "block IR3\nx x\n\n# end\n", DimensionMismatchError, 6, None,
-     "block IR3 has 1 pattern rows, expected 2"),
-    (HEAD + "stray line\n", SpecSyntaxError, 3, None, "unexpected line 'stray line'"),
-    (HEAD + A0 + "x x\n", SpecSyntaxError, 6, None, "unexpected line 'x x'"),
-    ("", SpecSyntaxError, None, None, "document must declare n and p"),
-    ("n = 2\n", SpecSyntaxError, None, None, "document must declare n and p"),
-    (HEAD, SpecSyntaxError, None, None, "document declares no blocks"),
+    (HEAD + "block A0\nx x\np = 1\n", 5, None, "block A0 has 1 pattern rows, expected 2"),
+    (HEAD + "block A0\n", 3, None, "block A0 has 0 pattern rows, expected 2"),
+    (HEAD + "block IR3\nx x\n\n# end\n", 6, None, "block IR3 has 1 pattern rows, expected 2"),
+    (HEAD + "stray line\n", 3, None, "unexpected line 'stray line'"),
+    (HEAD + A0 + "x x\n", 6, None, "unexpected line 'x x'"),
+    ("", None, None, "document must declare n and p"),
+    ("n = 2\n", None, None, "document must declare n and p"),
+    (HEAD, None, None, "document declares no blocks"),
 ]
 
 
 def test_parse_structural_errors():
-    for text, cls, line, col, message in DOCUMENT_RULES:
+    for text, line, col, message in DOCUMENT_RULES:
         with pytest.raises(SpecError) as exc:
             parse_spec(text)
         got = (type(exc.value), exc.value.line, exc.value.col, str(exc.value))
         where = "" if line is None else f"line {line}: " if col is None else (
             f"line {line}, column {col}: ")
-        assert got == (cls, line, col, where + message), text
+        assert got == (SpecError, line, col, where + message), text
 
 
 def test_lag0_is_refused_at_its_header_line(tmp_path, capsys):
     text = "n = 2\np = 2\n\nblock LAG0\nx x\nx x\n"
-    with pytest.raises(UnknownBlockError) as exc:
+    with pytest.raises(SpecError, match=r"^line 4: LAG0 is outside LAG1\.\.LAG2$") as exc:
         parse_spec(text)
     assert exc.value.line == 4
-    assert str(exc.value) == "line 4: LAG0 is outside LAG1..LAG2"
     path = tmp_path / "lag0.spec"
     path.write_text(text, encoding="utf-8")
     assert main(["check", "--spec", str(path)]) == 1
@@ -255,12 +237,15 @@ def test_lag_block_out_of_range_rejected():
     # a spec built in code is held to the parser's block rules, with no line
     spec = parse_spec("n = 2\np = 2\nblock LAG2\nx 0\nx x\n")
     assert spec.blocks[0][0].label == "LAG2"
-    with pytest.raises(UnknownBlockError) as exc:
+    with pytest.raises(SpecError, match=r"^LAG2 is outside LAG1\.\.LAG1$") as exc:
         RestrictionSpec(ModelDims(2, 1), spec.blocks)
-    assert str(exc.value) == "LAG2 is outside LAG1..LAG1" and exc.value.line is None
-    with pytest.raises(DuplicateBlockError) as exc:
+    assert exc.value.line is None
+    with pytest.raises(SpecError, match="^block LAG2 declared twice$") as exc:
         RestrictionSpec(spec.dims, spec.blocks + spec.blocks)
-    assert str(exc.value) == "block LAG2 declared twice" and exc.value.line is None
+    assert exc.value.line is None
+    with pytest.raises(SpecError, match=r"^block A0 mask must be 2x2, got \(2, 3\)$") as exc:
+        RestrictionSpec(ModelDims(2, 0), ((BlockId("A0"), np.zeros((2, 3), dtype=bool)),))
+    assert exc.value.line is None
 
 
 def test_restriction_residual_zero_on_baseline():

@@ -15,8 +15,9 @@ singular values).  It runs `demo`, and the error paths of
 ""`, `--tol nan`, `--tol 0`, `--draws 1`, a malformed document, and
 `--sigma` files that are asymmetric, hold a NaN, are indefinite or have
 the wrong shape, a `--b` file with a NaN beside `--sigma
-specs/sigma_eye3.txt`, and `rotate` on
-specs/overcounted3.spec.  It also renders walk-large's api-check JSON
+specs/sigma_eye3.txt`, `rotate` on specs/overcounted3.spec, and `check`
+and `explain` at `--seed 0` on an n = 2, p = 1 document whose one block
+IR5000 overflows at draw 2.  It also renders walk-large's api-check JSON
 reports (`bench/ops.py` `run_api_check`), and walks walk-large's dense-Q
 api ops (`bench/ops.py` `run_api`: `nonredundancy_at` at each of the
 op's draws) printing, per draw, P's bytes (as SHA-256), per_column (as
@@ -32,8 +33,8 @@ child process, in-process through `svarident.cli.main`.  Process cases
 start a fresh `python -m svarident` child each, so that the start and
 exit path (`cli.entry()`) is compared too: `check`, `explain` and
 `rotate`, text and JSON, at draw seed 11 over the cli-cold specs at
-seeds 1-2, `demo`, and the error paths no `--spec`, a missing file and
-`--tol nan`.  Every case
+seeds 1-2, `demo`, the error paths no `--spec`, a missing file and
+`--tol nan`, and `check` on the IR5000 document.  Every case
 whose stdout, stderr or exit code differs is printed with a unified
 diff; the exit status is 1 when any case differs.
 """
@@ -100,6 +101,8 @@ def cases(work: Path) -> list[dict]:
                       "--format", fmt]} for fmt in ("text", "json")]
     malformed = work / "malformed.spec"
     malformed.write_text("n = 3\np = 1\nblock A0\nx x\n", encoding="utf-8")
+    ir5000 = work / "ir5000.spec"  # f overflows at a drawn point
+    ir5000.write_text("n = 2\np = 1\nblock IR5000\nx 0\nx x\n", encoding="utf-8")
     bad_points = []  # one file per message of the point's checks, for recursive3
     sigma_eye = ["--sigma", str(ROOT / "specs" / "sigma_eye3.txt")]  # --b needs a --sigma
     for name, option, text in (
@@ -117,7 +120,10 @@ def cases(work: Path) -> list[dict]:
             ["--spec", rec3, "--tol", "nan"], ["--spec", rec3, "--tol", "0"],
             ["--spec", rec3, "--draws", "1"], ["--spec", str(malformed)], *bad_points)]
     out.append({"argv": ["rotate", "--spec", str(ROOT / "specs" / "overcounted3.spec")]})
+    out += [{"argv": [command, "--spec", str(ir5000), "--seed", "0", "--format", fmt]}
+            for command in ("check", "explain") for fmt in ("text", "json")]
     out.append({"process": ["demo"]})
+    out.append({"process": ["check", "--spec", str(ir5000), "--seed", "0"]})
     out += [{"process": [command, *argv]} for command in ("check", "explain", "rotate")
             for argv in ([], ["--spec", str(work / "missing.spec")],
                          ["--spec", rec3, "--tol", "nan"])]
