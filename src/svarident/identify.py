@@ -14,7 +14,7 @@ almost every point, so a handful of draws settles the verdict.
 from __future__ import annotations
 
 from enum import Enum
-from typing import NamedTuple
+from typing import NamedTuple, NoReturn
 
 import numpy as np
 
@@ -242,12 +242,16 @@ def _build_columns(a0: np.ndarray, aplus: np.ndarray, f: np.ndarray, c: Compiled
     point stops at its first rank-deficient column (P is None), except that
     with pick_rng point 0 walks on: each of its rank-deficient columns gets
     a random unit vector from its null space.  Full rank raises at once.
+    A single point walks without the batch axis (its f and N are 2-D, its
+    scale a float, its rank counted in Python), whose bookkeeping is a
+    sizable share of a one-point walk; it gets the bits of its row of a batch.
     """
-    scale = np.maximum(1.0, np.linalg.norm(f, 2, axis=(1, 2)))
     n, m = c.dims.n, len(f)
+    scale = np.maximum(1.0, np.linalg.svd(f, compute_uv=False)[:, 0])  # max(1, ||f||_2)
+    one = m == 1
+    f_act, scale_act = (f[0], float(scale[0])) if one else (f, scale[:, None])
+    basis = np.eye(n) if one else np.broadcast_to(np.eye(n), (m, n, n))
     idx = np.arange(m)  # the points still walking, with their f, scale and N
-    f_act, scale_act = f, scale[:, None]
-    basis = np.broadcast_to(np.eye(n), (m, n, n))
     p_mat = np.zeros((m, n, n))
     diags: list[list[ColumnDiagnostic]] = [[] for _ in range(m)]
     ends: list[np.ndarray | None] = [None] * m
@@ -257,22 +261,29 @@ def _build_columns(a0: np.ndarray, aplus: np.ndarray, f: np.ndarray, c: Compiled
             break
         rows = c.Q[t].shape[0] + t
         if t == n - 1 and rows == t:  # no restriction rows: N's one column, rank n - 1
-            svals, vh = np.zeros((idx.size, 0)), np.ones((idx.size, 1, 1))
+            svals, vh = np.zeros((*basis.shape[:-2], 0)), np.ones((*basis.shape[:-2], 1, 1))
         else:
             svals, vh = _projected_svd(c.Q[t] @ f_act, basis)
-        ranks = t + (svals > tol.resolve((rows, n), scale_act)).sum(axis=1)
+        cutoff = tol.resolve((rows, n), scale_act)
+        if one:  # counted in Python: a len() stays an int where a --tol cutoff is a numpy float
+            sv = [svals.tolist()]
+            ranks = [t + len([s for s in sv[0] if s > cutoff])]
+        else:
+            sv = svals.tolist()
+            ranks = (t + (svals > cutoff).sum(axis=1)).tolist()
         # the null vector and the next basis, in the coordinates of N
-        local, nxt = vh[:, -1], vh[:, :-1]
+        local, nxt = vh[..., -1, :], vh[..., :-1, :]
         points = idx.tolist()
-        for i, rank, sv in zip(points, ranks.tolist(), svals.tolist()):
+        for i, rank, s in zip(points, ranks, sv):
             status = (ColumnStatus.UNIQUE if rank == n - 1 else ColumnStatus.INFEASIBLE
                       if rank >= n else ColumnStatus.REDUNDANT)
             diags[i].append(ColumnDiagnostic(t + 1, orig + 1, rows, rank, n - 1, status,
-                                             n - rank, tuple(sv)))
-        keep = ranks == n - 1  # a rank-deficient point stops, unless it picks
-        if not keep.all():
-            for a in np.flatnonzero(~keep).tolist():  # lowest index first
-                i, rank = points[a], int(ranks[a])
+                                             n - rank, tuple(s)))
+        keep = [rank == n - 1 for rank in ranks]  # a rank-deficient point stops, unless it picks
+        if not all(keep):
+            for a, (i, rank) in enumerate(zip(points, ranks)):  # lowest index first
+                if keep[a]:
+                    continue
                 if rank >= n:
                     err = InfeasibleRestrictionsError(
                         f"restrictions on column {orig + 1} admit no unit vector "
@@ -280,16 +291,22 @@ def _build_columns(a0: np.ndarray, aplus: np.ndarray, f: np.ndarray, c: Compiled
                     )
                     err.diagnostics = tuple(diags[i])
                     raise err
+                at = ... if one else a  # a single point's arrays have no batch axis
                 if ends[i] is None:
-                    ends[i] = basis[a]
+                    ends[i] = basis[at]
                 if i == 0 and pick_rng is not None:
-                    local[a] = basis[a].T @ _pick(pick_rng, vh[a, rank - t:] @ basis[a].T)
-                    nxt[a] = np.linalg.svd(local[a][None, :])[2][1:]
-            keep[0] |= pick_rng is not None
-            idx, basis, local, nxt = idx[keep], basis[keep], local[keep], nxt[keep]
-            f_act, scale_act = f_act[keep], scale_act[keep]
-        p_mat[idx, :, orig] = (basis @ local[:, :, None])[:, :, 0]
-        basis = basis @ nxt.swapaxes(1, 2)
+                    keep[a] = True
+                    local[at] = basis[at].T @ _pick(pick_rng, vh[at][rank - t:] @ basis[at].T)
+                    nxt[at] = np.linalg.svd(local[at][None, :])[2][1:]
+            if one:
+                if not keep[0]:
+                    break
+            else:
+                kept = np.array(keep)
+                idx, basis, local, nxt = idx[kept], basis[kept], local[kept], nxt[kept]
+                f_act, scale_act = f_act[kept], scale_act[kept]
+        p_mat[idx, :, orig] = (basis @ local[..., None])[..., 0]
+        basis = basis @ nxt.swapaxes(-1, -2)
 
     # Orient each column by its largest entry (sign_flips must not depend on
     # an SVD's signs), then flip p_j so that entry j of A0 p_j is positive;
@@ -523,17 +540,17 @@ def _sampled(cfg: SamplerConfig, draws: int, c: CompiledRestrictions) -> tuple:
     return seeds, (_draw_stack(cfg, seeds[lo:lo + size]) for lo in range(0, draws, size))
 
 
-def _failing_draw(exc: Exception, b, sigma, c, seeds, done: int) -> Exception:
-    """The error of the lowest-index point of a batch whose front end fails,
-    naming that draw and its seed; exc itself for an explicit point."""
-    if seeds[done] is None:
-        return exc
-    for i in range(len(b)):
-        try:
-            _front(b[i:i + 1], sigma[i:i + 1], c)
-        except SvarIdentError as one:
-            return type(one)(f"draw {done + i} (seed {seeds[done + i]}): {one}")
-    return exc
+def _raise_for_draw(exc: Exception, b, sigma, c, seeds, done: int) -> NoReturn:
+    """Raise the error of the lowest-index point of a batch whose front end
+    fails, naming that draw and its seed, from exc; exc itself for an
+    explicit point (seed None) or when no point's front end fails."""
+    if seeds[done] is not None:
+        for i in range(len(b)):
+            try:
+                _front(b[i:i + 1], sigma[i:i + 1], c)
+            except SvarIdentError as one:
+                raise type(one)(f"draw {done + i} (seed {seeds[done + i]}): {one}") from exc
+    raise exc
 
 
 def _check(c: CompiledRestrictions, tol: RankTolerance, r: ReducedFormParams | None = None,
@@ -575,7 +592,7 @@ def _check(c: CompiledRestrictions, tol: RankTolerance, r: ReducedFormParams | N
             try:
                 front = _front(b, sigma, c)
             except SvarIdentError as exc:
-                raise _failing_draw(exc, b, sigma, c, seeds, done) from exc
+                _raise_for_draw(exc, b, sigma, c, seeds, done)
             pick = np.random.default_rng(0) if cross_check and not done else None
             walks = _build_columns(*front, c, tol, pick)
             if first is None:

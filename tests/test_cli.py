@@ -83,7 +83,7 @@ def test_check_json_schema_and_roundtrip(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert code == 2
 
-    spec = parse_spec(open(CEX).read())
+    spec = parse_spec(Path(CEX).read_text())
     report = check_exact_identification(spec, draws=5, seed=0)
     r0 = draw_reduced_form(SamplerConfig(dims=spec.dims, seed=0), 0)
     c = compile_spec(spec)
@@ -286,7 +286,8 @@ def test_bad_point_files_are_refused_with_one_message(tmp_path, capsys):
                 captured = capsys.readouterr()
                 assert (code, captured.out) == (1, ""), (option, text, command, fmt)
                 assert captured.err == f"svar-ident: error: {reason.format(path=path)}\n", (command, fmt)
-    # a numerical fault exits 1 at a point the user supplied, and 4 at a drawn one
+    # a numerical fault exits 1 at a point the user supplied, and 4 at a drawn
+    # one, which every command names; rotate walks draw 0 alone
     ir5000 = tmp_path / "ir5000.spec"
     ir5000.write_text("n = 2\np = 1\nblock IR5000\nx 0\nx x\n", encoding="utf-8")
     explosive = tmp_path / "b-explosive.txt"
@@ -294,11 +295,13 @@ def test_bad_point_files_are_refused_with_one_message(tmp_path, capsys):
     eye = tmp_path / "sigma-eye2.txt"
     eye.write_text("1 0\n0 1\n", encoding="utf-8")
     overflow = "f is not finite: an impulse-response block overflows"
-    for argv, code, reason in (
-        ([], 4, f"draw 2 (seed 16452687389592421897): {overflow}"),
-        (["--sigma", str(eye), "--b", str(explosive)], 1, overflow),
+    for commands, argv, code, reason in (
+        (("check", "explain"), [], 4, f"draw 2 (seed 16452687389592421897): {overflow}"),
+        (("check", "explain", "rotate"), ["--seed", "1"], 4,
+         f"draw 0 (seed 8431846347943309920): {overflow}"),
+        (("check", "explain", "rotate"), ["--sigma", str(eye), "--b", str(explosive)], 1, overflow),
     ):
-        for command in ("check", "explain"):
+        for command in commands:
             for fmt in ("text", "json"):
                 got = main([command, "--spec", str(ir5000), *argv, "--format", fmt])
                 assert (got, *capsys.readouterr()) == (code, "", f"svar-ident: error: {reason}\n"), \

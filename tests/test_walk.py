@@ -132,14 +132,28 @@ def test_unrestricted_last_column_is_the_remaining_basis_vector():
                 assert rec.per_column[-1] == last, name
 
 
+def _same_rotation(a, b):
+    # P bit for bit (or None for both), the sign flips and the uniqueness flag
+    assert (a.P is None) == (b.P is None)
+    if a.P is not None:
+        assert a.P.tobytes() == b.P.tobytes()
+    assert (a.sign_flips, a.unique) == (b.sign_flips, b.unique)
+
+
 def _batched_equals_single(spec, cfg, draws, tol=DEFAULT_TOL):
+    # a single point walks without the batch axis; its walk must equal its
+    # row of a check's batches and of one stacked front of all the draws
     c = compile_spec(spec)
     report = check_exact_identification(spec, config=cfg, draws=draws, tol=tol)
+    stacked = _build_columns(*_front(*_draw_stack(cfg, [stream_key(cfg.seed, i)
+                                                        for i in range(draws)]), c), c, tol)
     for i, rec in enumerate(report.draws):
         single = nonredundancy_at(draw_reduced_form(cfg, i), c, spec, tol)
         # dataclass equality: every field, the singular values bit for bit
         assert rec.per_column == single.per_column, i
         assert rec.passed == single.unique, i
+        assert stacked[i].rotation.per_column == single.per_column, i
+        _same_rotation(stacked[i].rotation, single)
     return report
 
 
@@ -212,6 +226,11 @@ def test_first_point_picks_but_keeps_its_aborting_record():
         # the picking walk of draw 0 builds (equal ranks up to rounding at a
         # cutoff; exact for the corpus at this seed)
         picked = construct_rotation(r0, c, spec, OnRedundancy.PICK_ARBITRARY, pick_seed=0)
+        # the batch's picking walk of draw 0 builds the P of the one-point walk
+        b, sigma = _draw_stack(cfg, [stream_key(cfg.seed, i) for i in range(4)])
+        batch = _build_columns(*_front(b, sigma, c), c, DEFAULT_TOL, np.random.default_rng(0))
+        assert batch[0].rotation.P.tobytes() == picked.P.tobytes(), entry.name
+        assert batch[0].rotation.sign_flips == picked.sign_flips, entry.name
         s0 = baseline_structural(r0)
         s_rot = StructuralParams(spec.dims, s0.A0 @ picked.P, s0.Aplus @ picked.P)
         try:

@@ -20,9 +20,13 @@ which parent and child share on Linux) to a pipe after `import
 svarident.cli` and after `main` returns, and the op's wall time splits
 into start (from the parent's spawn to the child's first mark), import,
 command (`main`) and exit (from `main`'s return to the parent's `wait`:
-the interpreter's finalization, output flushing included).  Each op kind
-gets the medians of its phases over C cycles and a JSON line.  The
-layer timers below do not apply to it.
+the interpreter's finalization, output flushing included).  As
+`bench/run.py` does for cli-cold's op times, a cold reference child
+(`bench/calibrate.py` `cold_task_ms`: a fresh interpreter that imports
+numpy) runs just before each op, and the op's phases are also given
+scaled by that reference's `cold_scale`.  Each op kind gets the medians
+of its phases over C cycles, raw and scaled, and a JSON line.  The layer
+timers below do not apply to it.
 
 Layers and what they time (self time: a layer's nested layers are
 subtracted, except inside `theorem6`, which counts everything below it):
@@ -300,31 +304,39 @@ def cold_op(src: Path, argv: list[str]) -> tuple[int, str, dict[str, float]]:
 
 
 def measure_cold(args, work: Path) -> None:
-    """Time each cli-cold op's phases in fresh children; print a table
-    and a JSON line per op kind."""
+    """Time each cli-cold op's phases in fresh children, each after a cold
+    reference child; print a table and a JSON line per op kind."""
+    from calibrate import cold_scale, cold_task_ms
     from workloads import cli_cold, op_seed, write_inputs
 
     src = Path(args.src).resolve()
     ops = write_inputs(cli_cold(args.seed), args.seed, work)
     cold_op(src, ops[0].argv(op_seed(args.seed, 0, 0)))  # warm-up
-    phases: dict[str, dict[str, list[float]]] = {}
+    phases: dict[str, dict[str, list[float]]] = {}  # kind -> phase -> raw ms
+    scales: dict[str, list[float]] = {}  # kind -> each op's cold_scale
     for cycle in range(args.cycles):
         for i, op in enumerate(ops):
+            scale = cold_scale(cold_task_ms(ROOT))
             code, err, ms = cold_op(src, op.argv(op_seed(args.seed, cycle, i)))
             if code not in (0, 2) or not ms:
                 raise SystemExit(f"op {i} exited {code}: {err.strip()}")
             times = phases.setdefault(op.kind, {phase: [] for phase in PHASES})
             for phase, value in ms.items():
                 times[phase].append(value)
+            scales.setdefault(op.kind, []).append(scale)
     for kind, times in phases.items():
         medians = {phase: statistics.median(values) for phase, values in times.items()}
+        scaled = {phase: statistics.median([v * k for v, k in zip(values, scales[kind])])
+                  for phase, values in times.items()}
         n_ops = len(times["total"])
         print(f"{n_ops} {kind} ops ({args.workload} seed {args.seed}, {args.cycles} cycles), "
               f"src {args.src}")
-        for phase, ms in medians.items():
-            print(f"  {phase:17s} {ms:7.3f} ms median")
+        for phase in PHASES:
+            print(f"  {phase:17s} {medians[phase]:7.3f} ms median raw, {scaled[phase]:7.3f} ms scaled")
         print(json.dumps({"src": args.src, "seed": args.seed, "ops": n_ops,
-                          "workload": args.workload, "kind": kind, "median_ms": medians}))
+                          "workload": args.workload, "kind": kind, "median_ms": medians,
+                          "scaled_median_ms": scaled,
+                          "cold_scale_median": statistics.median(scales[kind])}))
 
 
 def report_layers() -> None:

@@ -15,9 +15,10 @@ singular values).  It runs `demo`, and the error paths of
 ""`, `--tol nan`, `--tol 0`, `--draws 1`, a malformed document, and
 `--sigma` files that are asymmetric, hold a NaN, are indefinite or have
 the wrong shape, a `--b` file with a NaN beside `--sigma
-specs/sigma_eye3.txt`, `rotate` on specs/overcounted3.spec, and `check`
+specs/sigma_eye3.txt`, `rotate` on specs/overcounted3.spec, `check`
 and `explain` at `--seed 0` on an n = 2, p = 1 document whose one block
-IR5000 overflows at draw 2.  It also renders walk-large's api-check JSON
+IR5000 overflows at draw 2, and `rotate` at `--seed 1` on that document,
+whose draw 0 overflows.  It also renders walk-large's api-check JSON
 reports (`bench/ops.py` `run_api_check`), and walks walk-large's dense-Q
 api ops (`bench/ops.py` `run_api`: `nonredundancy_at` at each of the
 op's draws) printing, per draw, P's bytes (as SHA-256), per_column (as
@@ -34,7 +35,8 @@ start a fresh `python -m svarident` child each, so that the start and
 exit path (`cli.entry()`) is compared too: `check`, `explain` and
 `rotate`, text and JSON, at draw seed 11 over the cli-cold specs at
 seeds 1-2, `demo`, the error paths no `--spec`, a missing file and
-`--tol nan`, and `check` on the IR5000 document.  Every case
+`--tol nan`, and `check` (`--seed 0`) and `rotate` (`--seed 1`) on
+the IR5000 document.  Every case
 whose stdout, stderr or exit code differs is printed with a unified
 diff; the exit status is 1 when any case differs.
 """
@@ -122,8 +124,11 @@ def cases(work: Path) -> list[dict]:
     out.append({"argv": ["rotate", "--spec", str(ROOT / "specs" / "overcounted3.spec")]})
     out += [{"argv": [command, "--spec", str(ir5000), "--seed", "0", "--format", fmt]}
             for command in ("check", "explain") for fmt in ("text", "json")]
+    out += [{"argv": ["rotate", "--spec", str(ir5000), "--seed", "1", "--format", fmt]}
+            for fmt in ("text", "json")]
     out.append({"process": ["demo"]})
     out.append({"process": ["check", "--spec", str(ir5000), "--seed", "0"]})
+    out.append({"process": ["rotate", "--spec", str(ir5000), "--seed", "1"]})
     out += [{"process": [command, *argv]} for command in ("check", "explain", "rotate")
             for argv in ([], ["--spec", str(work / "missing.spec")],
                          ["--spec", rec3, "--tol", "nan"])]
