@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import gc
 import sys
 from pathlib import Path
 
@@ -274,15 +273,3 @@ def main(argv=None) -> int:
         drawn = getattr(args, "sigma", None) is None and getattr(args, "b", None) is None
         return 4 if numerical and drawn else 1
 
-
-def entry() -> None:
-    """The one way a svar-ident process ends: the console script, `python -m
-    svarident` and this module run as a script all come here."""
-    # the process ends with main, so the collector need never walk or free
-    # the import-time heap again: not in main's full collections, not at exit
-    gc.freeze()
-    raise SystemExit(main())
-
-
-if __name__ == "__main__":
-    entry()

@@ -214,8 +214,8 @@ def _projected_svd(qf: np.ndarray, basis: np.ndarray) -> tuple[np.ndarray, np.nd
     s = s / np.sqrt(1.0 + np.maximum(np.einsum("...ij,...ij->...i", along, along) - s * s, 0.0))
     if (s[..., 1:] > s[..., :-1]).any():  # the correction took some out of order
         order = np.argsort(-s, axis=-1, kind="stable")
-        s = np.take_along_axis(s, order, -1)
-        vh[..., :k, :] = np.take_along_axis(vh[..., :k, :], order[..., None], -2)
+        at = (order,) if s.ndim == 1 else (np.arange(len(s))[:, None], order)
+        s, vh[..., :k, :] = s[at], vh[at]
     return s, vh
 
 
@@ -305,20 +305,22 @@ def _build_columns(a0: np.ndarray, aplus: np.ndarray, f: np.ndarray, c: Compiled
                 kept = np.array(keep)
                 idx, basis, local, nxt = idx[kept], basis[kept], local[kept], nxt[kept]
                 f_act, scale_act = f_act[kept], scale_act[kept]
-        p_mat[idx, :, orig] = (basis @ local[..., None])[..., 0]
+        # a basic slice, cheaper than the index array, while every point still walks
+        p_mat[slice(None) if idx.size == m else idx, :, orig] = (basis @ local[..., None])[..., 0]
         basis = basis @ nxt.swapaxes(-1, -2)
 
     # Orient each column by its largest entry (sign_flips must not depend on
     # an SVD's signs), then flip p_j so that entry j of A0 p_j is positive;
     # a column whose pivot is near zero, or restricted to zero, takes the fallback.
-    p_mat *= np.sign(np.take_along_axis(p_mat, np.abs(p_mat).argmax(axis=1)[:, None], 1))
+    points, cols = np.arange(m)[:, None], np.arange(n)
+    p_mat *= np.sign(p_mat[points, np.abs(p_mat).argmax(axis=1), cols])[:, None]
     image = a0 @ p_mat
     pivot = np.diagonal(image, axis1=1, axis2=2)
     flips = np.where(pivot > 0, 1, -1)
     weak = np.abs(pivot) <= _SIGN_EPS * np.maximum(1.0, np.abs(image).max(axis=1))
     # the fallback: the sign of the first entry of p_j above _SIGN_EPS
     big = np.abs(p_mat) > _SIGN_EPS
-    first = np.take_along_axis(p_mat, big.argmax(axis=1)[:, None], 1)[:, 0]
+    first = p_mat[points, big.argmax(axis=1), cols]
     weak |= _pinned_pivots(c)
     flips[weak] = np.where(big.any(axis=1) & (first < 0), -1, 1)[weak]
     p_mat = p_mat * flips[:, None, :] + 0.0  # + 0.0 turns -0.0 into 0.0

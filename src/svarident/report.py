@@ -96,9 +96,14 @@ def render_json(payload: dict) -> str:
     exactly int or str, is rendered once per indent: a check's column dicts
     repeat across its draws.  Exact types keep a bool or a float out of that
     memo, since True == 1 == 1.0.  What json refuses raises json's TypeError.
-    json is imported here, not with the module: text output never needs it.
+    The quoting is _json's C function, the one json.encoder exports on
+    CPython, so no output imports the json package (about 2 ms cold); it is
+    imported here, not with the module, as text output does not need it.
     """
-    from json.encoder import encode_basestring_ascii
+    try:
+        from _json import encode_basestring_ascii
+    except ImportError:  # no C accelerator: json's own pure-Python one
+        from json.encoder import encode_basestring_ascii
 
     return _json(payload, "\n", {}, encode_basestring_ascii) + "\n"
 

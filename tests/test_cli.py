@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from svarident import cli, identify
+from svarident.__main__ import entry
 from svarident.cli import main
 from svarident.errors import UnrestrictedPointError
 from svarident.identify import (
@@ -409,14 +410,17 @@ def test_cutoff_above_every_singular_value_names_no_cell(tmp_path, capsys):
 
 def test_check_does_not_import_scipy():
     # scipy costs a cold start more than the rest of the package together;
-    # a text check needs neither json (about 2 ms) nor demo's fixture
+    # a text check needs neither json (about 2 ms) nor demo's fixture, and a
+    # JSON check no json either: it quotes strings with _json's C function
     script = (
         "import contextlib, io, sys\n"
         "from svarident.cli import main\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    code = main(['check', '--spec', {REC3!r}])\n"
-        "print(code, sorted(m for m in sys.modules\n"
-        "                   if m.startswith('scipy') or m in ('json', 'svarident.fixtures')))\n"
+        "codes = []\n"
+        "for fmt in ('text', 'json'):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"        codes.append(main(['check', '--spec', {REC3!r}, '--format', fmt]))\n"
+        "    print(fmt, codes[-1], sorted(m for m in sys.modules if m.startswith('scipy')\n"
+        "          or m in ('json', 'json.encoder', 'json.decoder', 'svarident.fixtures')))\n"
     )
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
@@ -424,7 +428,7 @@ def test_check_does_not_import_scipy():
         env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "0 []"
+    assert proc.stdout == "text 0 []\njson 0 []\n"
 
 
 def test_cross_check_shown_when_f_is_large(tmp_path, capsys):
@@ -588,21 +592,34 @@ def test_module_entrypoint():
 
 def test_entry_exits_with_the_code_of_main(monkeypatch, capsys):
     # the console script's target, in process: test_console_script below
-    # skips where the script is not on PATH.  gc.freeze is recorded, not
-    # run, so that pytest's own heap stays collectable
+    # skips where the script is not on PATH.  The import runs with the
+    # collector off, main with it on; gc.freeze is recorded, not run, so
+    # that pytest's own heap stays collectable
     calls = []
-    monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+
+    def recorded(name, call):
+        return lambda: (calls.append(name), call())
+
+    enable = gc.enable
+    monkeypatch.setattr(gc, "disable", recorded("disable", gc.disable))
+    monkeypatch.setattr(gc, "freeze", recorded("freeze", lambda: None))
+    monkeypatch.setattr(gc, "enable", recorded("enable", enable))
     cli_main = cli.main
 
     def recorded_main(argv=None):
-        calls.append("main")
+        calls.append(("main", gc.isenabled()))
         return cli_main(argv)
 
     monkeypatch.setattr(cli, "main", recorded_main)
     monkeypatch.setattr(sys, "argv", ["svar-ident", "demo"])
-    with pytest.raises(SystemExit) as exc:
-        cli.entry()
-    assert calls == ["freeze", "main"]
+    try:
+        with pytest.raises(SystemExit) as exc:
+            entry()
+        enabled = gc.isenabled()
+    finally:
+        enable()  # pytest's heap stays collectable whatever entry did
+    assert calls == ["disable", "freeze", "enable", ("main", True)]
+    assert enabled
     assert exc.value.code == 0
     out = capsys.readouterr().out
     assert "p1 = (1, 0, 0)" in out

@@ -14,12 +14,14 @@ function, this times the op's own calls, so a walk the op no longer makes
 shows as a layer that is gone.
 
 W may also be cli-cold: then each of its ops runs in a fresh child, as
-the benchmark runs it, but through `svarident.cli.entry()` with `main`
-wrapped.  The child writes time.perf_counter() marks (CLOCK_MONOTONIC,
-which parent and child share on Linux) to a pipe after `import
-svarident.cli` and after `main` returns, and the op's wall time splits
-into start (from the parent's spawn to the child's first mark), import,
-command (`main`) and exit (from `main`'s return to the parent's `wait`:
+the benchmark runs it, but through `svarident.__main__.entry()` with
+`main` wrapped.  The child writes time.perf_counter() marks
+(CLOCK_MONOTONIC, which parent and child share on Linux) to a pipe when
+it starts, when `main` starts and when `main` returns, and the op's wall
+time splits into start (from the parent's spawn to the child's first
+mark), import (`import svarident`, the CLI's imports in entry()'s
+collector-free window and `gc.freeze()`), command (`main`) and exit
+(from `main`'s return to the parent's `wait`:
 the interpreter's finalization, output flushing included).  As
 `bench/run.py` does for cli-cold's op times, a cold reference child
 (`bench/calibrate.py` `cold_task_ms`: a fresh interpreter that imports
@@ -258,20 +260,29 @@ def measure(run, ops, args) -> None:
 
 # a cli-cold child: argv is [fd of the marks pipe, *the op's CLI arguments]
 COLD_CHILD = """\
-import os, sys, time
+import gc, os, sys, time
 start = time.perf_counter()
-import svarident.cli as cli
-imported = time.perf_counter()
 fd = int(sys.argv.pop(1))
-main = cli.main
+disable = gc.disable
 
-def timed_main(argv=None):
-    code = main(argv)
-    os.write(fd, " ".join(map(repr, (start, imported, time.perf_counter()))).encode())
-    return code
+def disable_and_wrap_main():
+    # entry()'s first step, then the import it makes next, now inside its
+    # window, so that main can be wrapped before entry() binds it
+    disable()
+    import svarident.cli as cli
+    main = cli.main
 
-cli.main = timed_main
-cli.entry()
+    def timed_main(argv=None):
+        imported = time.perf_counter()
+        code = main(argv)
+        os.write(fd, " ".join(map(repr, (start, imported, time.perf_counter()))).encode())
+        return code
+
+    cli.main = timed_main
+
+gc.disable = disable_and_wrap_main
+from svarident.__main__ import entry
+entry()
 """
 PHASES = ("start", "import", "command", "exit", "total")
 

@@ -32,7 +32,7 @@ construct_rotation at draw 0.  The cases run against src/
 of this checkout and src/ of the tree at PATH, each tree in its own
 child process, in-process through `svarident.cli.main`.  Process cases
 start a fresh `python -m svarident` child each, so that the start and
-exit path (`cli.entry()`) is compared too: `check`, `explain` and
+exit path (`svarident.__main__.entry()`) is compared too: `check`, `explain` and
 `rotate`, text and JSON, at draw seed 11 over the cli-cold specs at
 seeds 1-2, `demo`, the error paths no `--spec`, a missing file and
 `--tol nan`, and `check` (`--seed 0`) and `rotate` (`--seed 1`) on
