@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InfeasibleRestrictionsError, SpecError, SvarIdentError
-from .identify import Verdict, _check, _picked, _raise_for_draw, _theorem6, _walk_at, count_condition
+from .identify import Verdict, _check, _picked, _theorem6, _walk_at, count_condition
 from .linalg import DEFAULT_TOL, RankTolerance
 from .model import ReducedFormParams
 from .restrictions import (
@@ -38,7 +38,7 @@ from .report import (
     rotation_report_text,
     verdict_exit_code,
 )
-from .sampler import SamplerConfig, draw_reduced_form, stream_key
+from .sampler import SamplerConfig
 
 
 class _Parser(argparse.ArgumentParser):
@@ -168,14 +168,8 @@ def _cmd_explain(args) -> int:
 
 def _cmd_rotate(args) -> int:
     tol, spec, c, r, cfg = _inputs(args)
-    source, seed = "files", None
-    if r is None:
-        r, seed = draw_reduced_form(cfg, 0), stream_key(cfg.seed, 0)
-        source = f"sampled (seed {args.seed}, draw 0)"
-    try:
-        walk, s_rot = _picked(r, c, tol, 0)
-    except SvarIdentError as exc:  # a front end that fails names its draw, as in check
-        _raise_for_draw(exc, r.B[None], r.Sigma[None], c, [seed], 0)
+    source = "files" if r is not None else f"sampled (seed {args.seed}, draw 0)"
+    walk, s_rot = _picked(c, tol, 0, r, cfg)  # draw 0 of check's stream, without --sigma/--b
     residual = restriction_residual(s_rot, c, spec)
     rotated = (s_rot.A0, s_rot.Aplus)
     if args.format == "json":

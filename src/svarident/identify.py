@@ -14,7 +14,7 @@ almost every point, so a handful of draws settles the verdict.
 from __future__ import annotations
 
 from enum import Enum
-from typing import NamedTuple, NoReturn
+from typing import NamedTuple
 
 import numpy as np
 
@@ -343,11 +343,45 @@ def _front(b: np.ndarray, sigma: np.ndarray,
     return a0, aplus, _assemble_stack(a0, aplus, c.block_ids, c.dims.p)
 
 
-def _walk_at(r: ReducedFormParams, c: CompiledRestrictions, tol: RankTolerance,
-             pick_rng: np.random.Generator | None = None) -> _Walk:
-    """The walk at one reduced-form point."""
-    _require_layout(c, r)
-    return _build_columns(*_front(r.B[None], r.Sigma[None], c), c, tol, pick_rng)[0]
+def _points(c: CompiledRestrictions, r: ReducedFormParams | None = None,
+            cfg: SamplerConfig | None = None, draws: int = 1) -> tuple:
+    """The seeds and stacked (B, Sigma) batches of the points a command walks:
+    r alone (seed None), or else the first `draws` draws of cfg's stream,
+    drawn lazily in batches of _BATCH_ENTRIES // n^2.  Checks the layout now."""
+    if r is not None:
+        _require_layout(c, r)
+        return [None], [(r.B[None], r.Sigma[None])]
+    _require_layout(c, cfg, "sampler")
+    seeds = [stream_key(cfg.seed, i) for i in range(draws)]
+    size = max(1, _BATCH_ENTRIES // c.dims.n ** 2)
+    return seeds, (_draw_stack(cfg, seeds[lo:lo + size]) for lo in range(0, draws, size))
+
+
+def _walks(c, tol, seeds, batches, pick_rng=None):
+    """(seed, walk) per point of _points' batches; pick_rng goes to point 0.
+    A drawn batch whose front end fails raises its lowest-index failing
+    point's error, naming that draw and its seed, from the batch's error."""
+    done = 0
+    for b, sigma in batches:
+        try:
+            front = _front(b, sigma, c)
+        except SvarIdentError as exc:
+            if seeds[done] is not None:
+                for i in range(len(b)):
+                    try:
+                        _front(b[i:i + 1], sigma[i:i + 1], c)
+                    except SvarIdentError as one:
+                        raise type(one)(f"draw {done + i} (seed {seeds[done + i]}): {one}") from exc
+            raise
+        for walk in _build_columns(*front, c, tol, None if done else pick_rng):
+            yield seeds[done], walk
+            done += 1
+
+
+def _walk_at(r: ReducedFormParams | None, c: CompiledRestrictions, tol: RankTolerance,
+             pick_rng: np.random.Generator | None = None, cfg: SamplerConfig | None = None) -> _Walk:
+    """The walk at the reduced-form point r, or else at draw 0 of cfg's stream."""
+    return next(_walks(c, tol, *_points(c, r, cfg), pick_rng))[1]
 
 
 def nonredundancy_at(
@@ -509,12 +543,12 @@ def redundancy_explanation(
     return _implicated(_walk_at(r, c, tol), c, tol)
 
 
-def _picked(r, c, tol, pick_seed) -> tuple[_Walk, StructuralParams]:
-    """The PICK_ARBITRARY walk at r and the baseline point rotated by its P:
-    (A0 P, Aplus P)."""
-    walk = _walk_at(r, c, tol, np.random.default_rng(pick_seed))
+def _picked(c, tol, pick_seed, r=None, cfg=None) -> tuple[_Walk, StructuralParams]:
+    """The PICK_ARBITRARY walk at r, or else at draw 0 of cfg's stream, and
+    the baseline point rotated by its P: (A0 P, Aplus P)."""
+    walk = _walk_at(r, c, tol, np.random.default_rng(pick_seed), cfg)
     p_mat = walk.rotation.P
-    return walk, StructuralParams(r.dims, walk.a0 @ p_mat, walk.aplus @ p_mat)
+    return walk, StructuralParams(c.dims, walk.a0 @ p_mat, walk.aplus @ p_mat)
 
 
 def restricted_point(
@@ -530,29 +564,7 @@ def restricted_point(
     for redundant schemes too (the rotation is then one of infinitely many).
     """
     _require_layout(c, spec, "spec")
-    return _picked(r, c, tol, pick_seed)[1]
-
-
-def _sampled(cfg: SamplerConfig, draws: int, c: CompiledRestrictions) -> tuple:
-    """The seeds of the first draws of cfg's stream, and the draws as stacked
-    (B, Sigma) batches of _BATCH_ENTRIES // n^2, drawn lazily."""
-    _require_layout(c, cfg)
-    seeds = [stream_key(cfg.seed, i) for i in range(draws)]
-    size = max(1, _BATCH_ENTRIES // c.dims.n ** 2)
-    return seeds, (_draw_stack(cfg, seeds[lo:lo + size]) for lo in range(0, draws, size))
-
-
-def _raise_for_draw(exc: Exception, b, sigma, c, seeds, done: int) -> NoReturn:
-    """Raise the error of the lowest-index point of a batch whose front end
-    fails, naming that draw and its seed, from exc; exc itself for an
-    explicit point (seed None) or when no point's front end fails."""
-    if seeds[done] is not None:
-        for i in range(len(b)):
-            try:
-                _front(b[i:i + 1], sigma[i:i + 1], c)
-            except SvarIdentError as one:
-                raise type(one)(f"draw {done + i} (seed {seeds[done + i]}): {one}") from exc
-    raise exc
+    return _picked(c, tol, pick_seed, r)[1]
 
 
 def _check(c: CompiledRestrictions, tol: RankTolerance, r: ReducedFormParams | None = None,
@@ -562,7 +574,7 @@ def _check(c: CompiledRestrictions, tol: RankTolerance, r: ReducedFormParams | N
     the first `draws` draws of cfg's stream.
 
     The points are factored, assembled and walked as stacked batches (see
-    _sampled).  With cross_check, the first point walks on past
+    _points and _walks).  With cross_check, the first point walks on past
     rank-deficient columns, picking with pick seed 0 (see _build_columns),
     so that its walk also gives the restricted point restricted_point
     gives; its record is still the aborting walk's.  The rank cross-check
@@ -574,13 +586,9 @@ def _check(c: CompiledRestrictions, tol: RankTolerance, r: ReducedFormParams | N
     any point.  A redundancy verdict is explained from the first point's
     walk.
     """
-    if r is not None:
-        _require_layout(c, r)
-        seeds, batches = [None], [(r.B[None], r.Sigma[None])]
-    elif draws < 2:
+    if r is None and draws < 2:
         raise ValueError("at least 2 draws are required")
-    else:
-        seeds, batches = _sampled(cfg, draws, c)
+    seeds, batches = _points(c, r, cfg, draws)
     cc = count_condition(c)
     n = c.dims.n
     records: list[DrawRecord] = []
@@ -589,18 +597,11 @@ def _check(c: CompiledRestrictions, tol: RankTolerance, r: ReducedFormParams | N
     implicated: tuple[ImplicatedCell, ...] = ()
     theorem6 = None
     if cc.overall:
-        for b, sigma in batches:
-            done = len(records)
-            try:
-                front = _front(b, sigma, c)
-            except SvarIdentError as exc:
-                _raise_for_draw(exc, b, sigma, c, seeds, done)
-            pick = np.random.default_rng(0) if cross_check and not done else None
-            walks = _build_columns(*front, c, tol, pick)
+        pick = np.random.default_rng(0) if cross_check else None
+        for seed, walk in _walks(c, tol, seeds, batches, pick):  # run out: it drops its last batch
             if first is None:
-                first = walks[0]
-            records += [DrawRecord(seeds[done + i], w.aborting(), w.rotation.unique)
-                        for i, w in enumerate(walks)]
+                first = walk
+            records.append(DrawRecord(seed, walk.aborting(), walk.rotation.unique))
         passes = [rec.passed for rec in records]
         if all(passes):
             verdict = Verdict.EXACTLY_IDENTIFIED
@@ -610,9 +611,9 @@ def _check(c: CompiledRestrictions, tol: RankTolerance, r: ReducedFormParams | N
         else:
             verdict = Verdict.INCONCLUSIVE_DRAW_DISAGREEMENT
     if cc.overall and cross_check:
-        # free the last batch first: the cross-check then adds its arrays to
-        # first's, not to a whole batch's (at n = 40 a 1 MB higher peak)
-        del b, sigma, front, walks
+        # free the last batch first (walk views it): the cross-check then adds
+        # its arrays to first's, not to a whole batch's (at n = 40 a 1 MB higher peak)
+        del walk
         try:
             theorem6 = _theorem6(first.f @ first.rotation.P, c, tol)
         except UnrestrictedPointError:

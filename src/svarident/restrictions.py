@@ -251,16 +251,19 @@ def _assemble_stack(a0: np.ndarray, aplus: np.ndarray, blocks, p: int) -> np.nda
 
 
 def assemble_f(s: StructuralParams, spec: RestrictionSpec) -> np.ndarray:
-    """Stack every block's matrix value vertically, in declared order (k x n)."""
+    """Stack every block's matrix value vertically, in declared order (k x n).
+    Refuses a point whose n or p is not spec's."""
+    _require_layout(spec, s, "structural point")
     return _assemble_stack(s.A0[None], s.Aplus[None], [b for b, _ in spec.blocks], s.dims.p)[0]
 
 
-def _require_layout(c: CompiledRestrictions, held, what: str = "reduced-form point") -> None:
+def _require_layout(c, held, what: str = "reduced-form point") -> None:
     """Refuse held, a point, a SamplerConfig or a RestrictionSpec, unless it
     has c's n and p and, for a spec, c's blocks in c's order: f is assembled
-    in the order of c.block_ids, and c.Q indexes f so."""
+    in the order of c.block_ids, and c.Q indexes f so.  c is compiled
+    restrictions, or a spec when held is a point."""
     blocks = tuple(b for b, _ in held.blocks) if isinstance(held, RestrictionSpec) else None
-    if held.dims == c.dims and blocks in (None, c.block_ids):
+    if held.dims == c.dims and (blocks is None or blocks == c.block_ids):
         return
     theirs, ours = (f"n = {d.n}, p = {d.p}" for d in (held.dims, c.dims))
     if blocks is not None:

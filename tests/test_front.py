@@ -13,7 +13,7 @@ import pytest
 from svarident.cli import main
 from svarident.errors import NotPositiveDefiniteError, SvarIdentError
 from svarident.fixtures import COUNTEREXAMPLE
-from svarident.identify import Verdict, _front, _sampled, check_exact_identification, theorem6_check
+from svarident.identify import Verdict, _front, _points, check_exact_identification, theorem6_check
 from svarident.linalg import RankTolerance, numerical_rank
 from svarident.model import baseline_structural, ir_horizon
 from svarident.restrictions import assemble_f, compile_spec, parse_spec, restriction_residual
@@ -70,7 +70,7 @@ def test_stacked_front_end_is_bit_identical_to_each_point_alone(n, p, draws):
     spec = parse_spec(spec_text_from_cells(n, p, {label: {(1, 2)} for label in labels}))
     cfg = SamplerConfig(dims=spec.dims, seed=n + p, diag_floor=1.0 if n >= 20 else 0.1)
     c = compile_spec(spec)
-    seeds, batches = _sampled(cfg, draws, c)
+    seeds, batches = _points(c, cfg=cfg, draws=draws)
     done = 0
     for b, sigma in batches:
         a0, aplus, f = _front(b, sigma, c)

@@ -388,6 +388,25 @@ def test_point_dims_must_match_the_spec():
         construct_rotation(_eye_point(2), c, spec)
 
 
+def test_a_point_of_other_dimensions_is_refused_before_the_count_gate():
+    # the count fails (q = (1, 0, 0)), and a wrong point or sampler is still
+    # refused first, naming what it is; a check of one draw is refused
+    # before its sampler is looked at
+    spec = parse_spec(spec_text_from_cells(3, 0, {"A0": {(2, 1)}}))
+    assert not count_condition(compile_spec(spec)).overall
+    ours = "but the restrictions are for n = 3, p = 0"
+    with pytest.raises(ValueError) as err:
+        check_at_point(spec, _eye_point(2, p=0))
+    assert str(err.value) == f"reduced-form point has n = 2, p = 0 {ours}"
+    sampler = SamplerConfig(dims=ModelDims(2, 0))
+    with pytest.raises(ValueError) as err:
+        check_exact_identification(spec, config=sampler)
+    assert str(err.value) == f"sampler has n = 2, p = 0 {ours}"
+    with pytest.raises(ValueError) as err:
+        check_exact_identification(spec, config=sampler, draws=1)
+    assert str(err.value) == "at least 2 draws are required"
+
+
 def _beside_c(r, s, c, spec) -> dict:
     """The six public functions that take a spec beside c, each as a call."""
     return {

@@ -233,6 +233,20 @@ def test_block_value_lag_slices():
     assert_allclose(f[6:8], aplus[0:2].T, rtol=0, atol=1e-12)
 
 
+def test_assemble_f_refuses_a_point_of_other_dimensions():
+    # it once read a p = 0 point's constant row as LAG1 (a 4 x 3 f), and
+    # assembled an n = 2 point's blocks into a 4 x 2 f
+    spec = parse_spec(spec_text_from_cells(3, 1, {"A0": {(2, 1), (3, 1)}, "LAG1": {(1, 2)}}))
+    for s, theirs in ((StructuralParams(ModelDims(3, 0), 2 * np.eye(3), [[0.0, 1.0, 2.0]]),
+                       "n = 3, p = 0"),
+                      (StructuralParams(ModelDims(2, 1), 2 * np.eye(2), np.ones((3, 2))),
+                       "n = 2, p = 1")):
+        with pytest.raises(ValueError) as err:
+            assemble_f(s, spec)
+        assert str(err.value) == (f"structural point has {theirs} but the restrictions are for "
+                                  "n = 3, p = 1")
+
+
 def test_lag_block_out_of_range_rejected():
     # a spec built in code is held to the parser's block rules, with no line
     spec = parse_spec("n = 2\np = 2\nblock LAG2\nx 0\nx x\n")

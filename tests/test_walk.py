@@ -114,7 +114,7 @@ def test_unrestricted_last_column_is_the_remaining_basis_vector():
         if c.q[-1]:
             continue
         cfg = SamplerConfig(dims=spec.dims, seed=17, diag_floor=1.0)
-        walk, s_rot = _picked(draw_reduced_form(cfg, 0), c, DEFAULT_TOL, 0)
+        walk, s_rot = _picked(c, DEFAULT_TOL, 0, draw_reduced_form(cfg, 0))
         assert len(walk.rotation.per_column) == n, name
         last = walk.rotation.per_column[-1]
         assert (last.j, last.original_column, last.qtilde_rows) == (n, c.permutation[-1] + 1, n - 1)

@@ -45,9 +45,8 @@ subtracted, except inside `theorem6`, which counts everything below it):
   other             the rest of the op
 Work counts per op: draws sampled and points walked, read off the calls'
 arguments (a call inside a call of the same layer is not counted again),
-and svd calls, the package's calls of np.linalg.svd (the SVDs inside
-np.linalg.norm are not counted).  A count repeats exactly for a
-seed, so it shows a change in work free of timing noise.
+and svd calls, the package's calls of np.linalg.svd.  A count repeats
+exactly for a seed, so it shows a change in work free of timing noise.
 The timers add a few microseconds per wrapped call; the overhead line
 compares the op time with and without them.  Untimed and timed passes
 alternate, cycle by cycle and with the same op seeds, and swap which goes
