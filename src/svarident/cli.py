@@ -120,7 +120,7 @@ def _inputs(args) -> tuple:
         raise SpecError("--spec is required for this command")
     spec = parse_spec(Path(args.spec).read_text(encoding="utf-8"))
     return (tol, spec, compile_spec(spec), _explicit_point(args, spec),
-            SamplerConfig(dims=spec.dims, seed=args.seed))
+            SamplerConfig(spec.dims, SamplerConfig.diag_floor, args.seed))
 
 
 def _cmd_check(args) -> int:
@@ -235,7 +235,8 @@ def _cmd_demo(args) -> int:
         f"counting total {t6.total} matches {t6.required}, but the rank test fails\n"
     )
 
-    report = _check(c, DEFAULT_TOL, cfg=SamplerConfig(dims=dims, seed=0), draws=10, cross_check=False)
+    cfg = SamplerConfig(dims, SamplerConfig.diag_floor, 0)
+    report = _check(c, DEFAULT_TOL, cfg=cfg, draws=10, cross_check=False)
     out.write(f"\nverdict over M = 10 sampled draws: {report.verdict.value}\n")
     return 0
 

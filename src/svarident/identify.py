@@ -653,5 +653,5 @@ def check_exact_identification(
     carries the rank cross-check at the restricted point of draw 0, the
     point restricted_point gives with pick seed 0.
     """
-    cfg = config if config is not None else SamplerConfig(dims=spec.dims, seed=seed)
+    cfg = config if config is not None else SamplerConfig(spec.dims, SamplerConfig.diag_floor, seed)
     return _check(compile_spec(spec), tol, cfg=cfg, draws=draws)

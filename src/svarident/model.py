@@ -124,41 +124,40 @@ def baseline_structural(r: ReducedFormParams) -> StructuralParams:
 
 def _impulse_responses(a0: np.ndarray, aplus, horizons, p: int) -> list[np.ndarray]:
     """Structural impulse responses of stacked points (A0 (M, n, n), Aplus
-    (M, m, n)) at each horizon, one (M, n, n) array per horizon.
-
-    Each point's A0 is inverted once, with no rank check (a StructuralParams
-    admits only an invertible A0, and a baseline A0 inverts a Cholesky
-    factor), and B is solved for and the companion matrices built once,
-    for all horizons; the companion powers are taken point by point, so no
-    stacked (M, np, np) power is held.  Horizon 0 is (A0^{-1})'; later horizons premultiply by the
-    reduced-form moving-average coefficient.  With p = 0 every h >= 1 is 0.
-    A response that overflows (a long horizon of an explosive B) is
-    refused, and numpy's overflow warnings are not shown.
+    (M, m, n)) at each horizon, one (M, n, n) array per horizon: as
+    ir_horizon, one product per horizon for the whole stack, keeping only
+    the last p responses and the ones asked for.  A0 is inverted unchecked
+    (a StructuralParams admits only an invertible A0, and a baseline A0
+    inverts a Cholesky factor).  A response that overflows (a long horizon
+    of an explosive B) is refused, without numpy's warnings; every later
+    response stays non-finite, so only every 64th and the last are checked.
     """
     if not horizons:
         return []
     ir0 = np.linalg.inv(a0).swapaxes(-1, -2)
-    n = a0.shape[-1]
+    n, top = a0.shape[-1], max(horizons) if p else 0
+    out = dict.fromkeys(horizons, np.zeros_like(ir0))
+    out[0] = window = ir0  # IR_{h-1}, ..., IR_{h-min(h,p)}, stacked row-wise
     with np.errstate(over="ignore", invalid="ignore"):
-        if p and any(horizons):
-            b_t = np.linalg.solve(a0.swapaxes(-1, -2), aplus.swapaxes(-1, -2))  # B' of each point
-            # state (y_t, ..., y_{t-p+1}): B's lag rows transposed on top, the identity below
-            eye = np.eye(n * (p - 1), n * p)
-            comp = np.concatenate([b_t[:, :, :n * p], np.broadcast_to(eye, (len(b_t), *eye.shape))], axis=1)
-        # each n x n block is copied out, so that its point's whole power is freed at once
-        irs = [ir0 if h == 0 else np.zeros_like(ir0) if not p else
-               np.stack([np.linalg.matrix_power(c_i, h)[:n, :n].copy() for c_i in comp]) @ ir0
-               for h in horizons]
-    if not all(np.isfinite(ir).all() for ir in irs):
+        if top:
+            b_t = ir0 @ aplus.swapaxes(-1, -2)  # B' = (A0^{-1})' Aplus' = (B_1' ... B_p' c')
+        for h in range(1, top + 1):
+            ir = b_t[..., :window.shape[1]] @ window
+            window = ir if p == 1 else np.concatenate((ir, window[:, :n * (p - 1)]), axis=1)
+            if h in out:
+                out[h] = ir
+            if not h % 64 and not np.isfinite(ir).all():
+                break
+    if not np.isfinite(window).all():
         raise SvarIdentError("f is not finite: an impulse-response block overflows")
-    return irs
+    return [out[h] for h in horizons]
 
 
 def ir_horizon(s: StructuralParams, h: int) -> np.ndarray:
     """Structural impulse responses at horizon h.
 
-    Horizon 0 is (A0^{-1})'; later horizons premultiply by the reduced-form
-    moving-average coefficient, read off powers of the companion matrix of B.
+    Horizon 0 is (A0^{-1})'; later ones follow the moving-average recursion
+    IR_h = sum_{l=1}^{min(h,p)} B_l' IR_{h-l}, B_l the l-th lag block of B.
     A model with p = 0 has zero responses at every h >= 1.
     """
     if h < 0:

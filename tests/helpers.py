@@ -197,6 +197,20 @@ def _fallback_sign(p) -> int:
     return 1
 
 
+def one_point_responses(a0, aplus, p: int, h: int) -> np.ndarray:
+    """IR_h of one structural point (A0, Aplus) of lag order p >= 1, by the
+    moving-average recursion IR_h = sum_{l<=min(h,p)} B_l' IR_{h-l} from
+    IR_0 = (A0^{-1})': B' times the last min(h, p) responses, newest first,
+    stacked row-wise.  The package's arithmetic, written for one point."""
+    n = a0.shape[0]
+    ir = window = np.linalg.inv(a0).T
+    coef_t = ir @ aplus.T  # B'
+    for _ in range(h):
+        ir = coef_t[:, :len(window)] @ window
+        window = np.vstack([ir, window[:n * (p - 1)]])
+    return ir
+
+
 def random_orthogonal(n: int, seed: int) -> np.ndarray:
     """Deterministic random orthogonal n x n matrix for a given seed.
 

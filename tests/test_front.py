@@ -19,7 +19,7 @@ from svarident.model import baseline_structural, ir_horizon
 from svarident.restrictions import assemble_f, compile_spec, parse_spec, restriction_residual
 from svarident.sampler import SamplerConfig, draw_reduced_form, stream_key
 
-from helpers import recursive_spec_text, spec_text_from_cells
+from helpers import one_point_responses, recursive_spec_text, spec_text_from_cells
 
 
 def reference_draw(cfg, index):
@@ -37,8 +37,8 @@ def reference_draw(cfg, index):
 
 def reference_f(b, sigma, spec):
     """Baseline A0, Aplus and f of one point, each impulse-response block
-    computed on its own: its own inverse of A0, solve for B and companion
-    matrix, as before they were shared."""
+    computed on its own: its own inverse of A0, B and moving-average
+    recursion, as before they were shared."""
     n, p = spec.dims.n, spec.dims.p
     a0 = np.linalg.inv(np.linalg.cholesky(sigma).T)
     aplus = b @ a0
@@ -53,12 +53,7 @@ def reference_f(b, sigma, spec):
         elif p == 0:
             parts.append(np.zeros((n, n)))
         else:
-            coef = np.linalg.solve(a0.T, aplus.T).T
-            comp = np.zeros((n * p, n * p))
-            comp[:n] = coef[:n * p].T
-            comp[n:, :n * (p - 1)] = np.eye(n * (p - 1))
-            psi = np.linalg.matrix_power(comp, block.index)[:n, :n]
-            parts.append(psi @ np.linalg.inv(a0).T)
+            parts.append(one_point_responses(a0, aplus, p, block.index))
     return a0, aplus, np.vstack(parts)
 
 
@@ -160,7 +155,7 @@ def test_an_overflowing_f_names_its_draw_without_numpy_warnings(tmp_path, capsys
 
 
 def test_an_overflowing_impulse_response_is_refused_where_it_is_computed():
-    # the refusal lives where companion powers are taken, so every function
+    # the refusal lives where the responses are computed, so every function
     # that assembles f refuses that draw's f, without a numpy warning; before,
     # restriction_residual read the all-inf/nan f as satisfied (0.0)
     spec = parse_spec(spec_text_from_cells(3, 1, {"A0": {(2, 1), (3, 1), (3, 2)}, "IR5000": set()}))

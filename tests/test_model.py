@@ -15,9 +15,10 @@ from svarident.model import (
     ir_horizon,
     to_reduced_form,
 )
+from svarident.restrictions import assemble_f, parse_spec
 from svarident.sampler import SamplerConfig, draw_reduced_form
 
-from helpers import random_orthogonal
+from helpers import one_point_responses, random_orthogonal, spec_text_from_cells
 
 
 def _random_structural(rng, n, p):
@@ -32,8 +33,8 @@ def ma_coefficients_oracle(b, n, p, hmax):
 
     y_t' = x_t' B + u_t' with x_t = (y_{t-1}, ..., y_{t-p}, 1) gives
     Psi_0 = I and Psi_h = sum_{i=1..min(h,p)} Psi_{h-i} B_i' where B_i is
-    the i-th n x n slice of B.  Written independently of the companion
-    matrix used by the package.
+    the i-th n x n slice of B.  Written independently of the package's
+    stacked recursion on the responses.
     """
     slices = [b[i * n:(i + 1) * n, :] for i in range(p)]
     psis = [np.eye(n)]
@@ -189,10 +190,9 @@ def companion_by_blocks(b, n, p):
     return comp
 
 
-def test_stacked_responses_equal_one_point_companion_powers():
-    # the companion matrices of a stack are built in one assignment; the
-    # responses must equal, bit for bit, each point's powers of its
-    # block-by-block companion matrix
+def test_stacked_responses_equal_one_point_recursion():
+    # the responses of a stack must equal, bit for bit, each point's own
+    # recursion
     rng = np.random.default_rng(23)
     for m, n, p in ((1, 3, 1), (5, 3, 2), (4, 6, 3), (3, 5, 4), (6, 2, 5)):
         a0 = rng.standard_normal((m, n, n)) + 3.0 * np.eye(n)
@@ -200,11 +200,31 @@ def test_stacked_responses_equal_one_point_companion_powers():
         horizons = [0, 1, 2, 7]
         irs = _impulse_responses(a0, aplus, horizons, p)
         for i in range(m):
-            ir0 = np.linalg.inv(a0[i]).T
-            comp = companion_by_blocks(np.linalg.solve(a0[i].T, aplus[i].T).T, n, p)
             for h, ir in zip(horizons, irs):
-                expected = np.linalg.matrix_power(comp, h)[:n, :n] @ ir0 if h else ir0
+                expected = one_point_responses(a0[i], aplus[i], p, h)
                 assert np.array_equal(ir[i], expected), (m, n, p, i, h)
+
+
+def test_recursion_equals_companion_powers():
+    # the recursion against companion powers, an independent route to the
+    # same responses, through f: horizons below p, p = 0, and IR blocks
+    # declared out of horizon order
+    rng = np.random.default_rng(31)
+    for n in range(1, 7):
+        for p in range(5):
+            horizons = [7, 0, 2, 1, 3] if p else [3, 0, 1]
+            spec = parse_spec(spec_text_from_cells(n, p, {f"IR{h}": set() for h in horizons}))
+            dims = spec.dims
+            a0 = rng.standard_normal((n, n)) + 3.0 * np.eye(n)
+            aplus = 0.5 * rng.standard_normal((dims.m, n)) / np.sqrt(max(1, n * p))
+            f = assemble_f(StructuralParams(dims, a0, aplus), spec)
+            ir0 = np.linalg.inv(a0).T
+            comp = companion_by_blocks(np.linalg.solve(a0.T, aplus.T).T, n, p) if p else None
+            for t, h in enumerate(horizons):
+                expected = (ir0 if not h else np.zeros((n, n)) if not p
+                            else np.linalg.matrix_power(comp, h)[:n, :n] @ ir0)
+                block = f[t * n:(t + 1) * n]
+                assert np.abs(block - expected).max() <= 1e-12 * np.linalg.norm(expected), (n, p, h)
 
 
 def test_ir_horizon_static_model():
