@@ -244,8 +244,8 @@ def _cmd_demo(args) -> int:
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+    except SystemExit as exc:  # --help, or a usage error the parser printed
+        args, code = None, int(exc.code or 0)
     handlers = {
         "check": _cmd_check,
         "rotate": _cmd_rotate,
@@ -257,8 +257,17 @@ def main(argv=None) -> int:
     # numerical (_check catches UnrestrictedPointError): a Sigma that does not
     # factor or an f that overflows.  At a drawn point (no --sigma/--b) that
     # is exit 4; at a point the user supplied it is exit 1, as bad input.
+    # stdout is flushed here, not at exit, so that output that cannot be
+    # written (a full device, a pipe with no reader) is exit 1 whether or
+    # not stdout is buffered; entry() ends the process without flushing it
     try:
-        return handlers[args.command](args)
+        if args is not None:
+            if sys.stdout is None:  # fd 1 was closed when the interpreter started
+                raise OSError("standard output is closed")
+            code = handlers[args.command](args)
+        if sys.stdout is not None:  # the parser writes to stderr then
+            sys.stdout.flush()
+        return code
     except InfeasibleRestrictionsError as exc:  # rotate: a column admits no unit vector
         print(f"svar-ident: infeasible: {exc}", file=sys.stderr)
         return 2

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import errno
 import gc
 import json
 import os
@@ -37,19 +38,26 @@ OVER = str(ROOT / "specs" / "overcounted3.spec")
 SIGMA_EYE = str(ROOT / "specs" / "sigma_eye3.txt")
 
 
-def run_cli(*argv):
-    return run_python("-m", "svarident", *argv)
+def run_cli(*argv, **kwargs):
+    return run_python("-m", "svarident", *argv, **kwargs)
 
 
-def run_python(*args):
-    # the child imports the package from src/ whether or not it is installed
+def run_python(*args, unbuffered=None, stdout=subprocess.PIPE):
+    # the child imports the package from src/ whether or not it is installed;
+    # unbuffered=True or False sets or removes PYTHONUNBUFFERED in its
+    # environment (None inherits it); stdout is a pipe unless given
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    if unbuffered is not None:
+        env.pop("PYTHONUNBUFFERED", None)
+        env.update({"PYTHONUNBUFFERED": "1"} if unbuffered else {})
     proc = subprocess.run(
         [sys.executable, *args],
-        capture_output=True,
+        stdout=stdout,
+        stderr=subprocess.PIPE,
         text=True,
         cwd=ROOT,
-        env={**os.environ, "PYTHONPATH": path},
+        env=env,
     )
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -549,16 +557,24 @@ def test_repeat_runs_byte_identical():
         assert out_a == out_b, argv
 
 
-def test_one_parser_serves_every_call(monkeypatch, capsys):
+def test_one_parser_serves_every_call(monkeypatch, capsys, tmp_path):
     # main reuses one parser per process, also after a call it refused, so
-    # every call prints what the same call prints in a fresh interpreter
+    # every call prints what the same call prints in a fresh interpreter,
+    # which ends through os._exit with each of the codes 0-4
     monkeypatch.setenv("COLUMNS", "80")  # --help wraps to the same width in both
+    # draw 2 of this seed reads column 1 at rank 1/2, the other draws full rank
+    inconclusive = tmp_path / "ir12.spec"
+    inconclusive.write_text("n = 3\np = 1\nblock IR12\nx x 0\nx 0 0\nx x x\n", encoding="utf-8")
+    overflows = tmp_path / "ir5000.spec"  # f overflows at draw 2 of --seed 0
+    overflows.write_text("n = 2\np = 1\nblock IR5000\nx 0\nx x\n", encoding="utf-8")
     calls = [
         ("check", "--spec", REC3, "--tol", "nan"),
         ("--help",),
         (),
         ("check", "--spec", CEX),
         ("explain", "--spec", CEX, "--format", "json"),
+        ("check", "--spec", str(inconclusive), "--seed", "41209035000"),
+        ("check", "--spec", str(overflows), "--seed", "0"),
     ]
     cli._build_parser.cache_clear()
     frozen = gc.get_freeze_count()
@@ -569,7 +585,7 @@ def test_one_parser_serves_every_call(monkeypatch, capsys):
         in_process.append((code, captured.out, captured.err))
     assert cli._build_parser.cache_info().misses == 1
     assert gc.get_freeze_count() == frozen  # only entry() freezes the heap
-    assert [code for code, _, _ in in_process] == [1, 0, 1, 2, 0]
+    assert [code for code, _, _ in in_process] == [1, 0, 1, 2, 0, 3, 4]
     for argv, got in zip(calls, in_process):
         assert got == run_cli(*argv), argv
 
@@ -578,23 +594,79 @@ def test_module_entrypoint():
     code, out, _ = run_cli("check", "--spec", CEX)
     assert code == 2
     assert "NotIdentified_Redundancy" in out
-    # `python -m svarident` ends through entry(), which froze the heap
+    # `python -m svarident` ends through entry(), which froze the heap and
+    # hands main's code to os._exit, recorded here in place of the exit
     child = (
-        "import gc, runpy, sys\n"
+        "import gc, os, runpy, sys\n"
         f"sys.argv = ['svarident', 'check', '--spec', {CEX!r}]\n"
-        "try:\n"
-        "    runpy.run_module('svarident', run_name='__main__')\n"
-        "except SystemExit as exc:\n"
-        "    print(exc.code, gc.get_freeze_count() > 0, file=sys.stderr)\n"
+        "os._exit = lambda code: print(code, gc.get_freeze_count() > 0, file=sys.stderr)\n"
+        "runpy.run_module('svarident', run_name='__main__')\n"
     )
     assert run_python("-c", child) == (0, out, "2 True\n")
+
+
+# closes fd 1, then runs its other arguments in a fresh interpreter, which
+# starts with sys.stdout None
+CLOSE_STDOUT = "import os, sys; os.close(1); os.execv(sys.executable, [sys.executable, *sys.argv[1:]])"
+
+
+@pytest.mark.parametrize("argv", [
+    ("check", "--spec", REC3),
+    ("check", "--spec", REC3, "--format", "json"),
+    ("explain", "--spec", CEX),
+    ("rotate", "--spec", REC3),
+    ("demo",),
+])
+def test_closed_stdout_is_an_io_error(argv):
+    assert run_python("-c", CLOSE_STDOUT, "-m", "svarident", *argv) == (
+        1, "", "svar-ident: error: standard output is closed\n")
+
+
+def io_error(code):
+    return f"svar-ident: error: {OSError(code, os.strerror(code))}\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("unbuffered", [True, False])
+def test_full_device_is_an_io_error(unbuffered):
+    # unbuffered, the first write fails in the command; buffered, main's
+    # flush does, where the interpreter's own flush at exit made it exit 120
+    with open("/dev/full", "w") as full:
+        got = run_cli("check", "--spec", REC3, unbuffered=unbuffered, stdout=full)
+    assert got == (1, None, io_error(errno.ENOSPC))
+
+
+@pytest.mark.parametrize("unbuffered", [True, False])
+def test_pipe_without_reader_is_an_io_error(unbuffered):
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        got = run_cli("check", "--spec", REC3, unbuffered=unbuffered, stdout=w)
+    finally:
+        os.close(w)
+    assert got == (1, None, io_error(errno.EPIPE))
+
+
+@pytest.mark.parametrize("argv", [
+    # 220 kB in one write, which fills the pipe until the reader drains it
+    ("check", "--spec", str(ROOT / "specs" / "recursive4.spec"), "--draws", "400",
+     "--format", "json"),
+    ("demo",),  # small writes, all held in stdout's buffer until main flushes it
+])
+def test_buffered_output_is_written_whole(argv, capsys):
+    # entry() ends the process without the interpreter's flush at exit, so
+    # every byte a buffered stdout holds must be out by then
+    code = main(list(argv))
+    out = capsys.readouterr().out
+    assert run_cli(*argv, unbuffered=False) == (code, out, "")
 
 
 def test_entry_exits_with_the_code_of_main(monkeypatch, capsys):
     # the console script's target, in process: test_console_script below
     # skips where the script is not on PATH.  The import runs with the
     # collector off, main with it on; gc.freeze is recorded, not run, so
-    # that pytest's own heap stays collectable
+    # that pytest's own heap stays collectable, and so is os._exit, so that
+    # pytest's process goes on
     calls = []
 
     def recorded(name, call):
@@ -611,16 +683,15 @@ def test_entry_exits_with_the_code_of_main(monkeypatch, capsys):
         return cli_main(argv)
 
     monkeypatch.setattr(cli, "main", recorded_main)
+    monkeypatch.setattr(os, "_exit", lambda code: calls.append(("_exit", code)))
     monkeypatch.setattr(sys, "argv", ["svar-ident", "demo"])
     try:
-        with pytest.raises(SystemExit) as exc:
-            entry()
+        entry()
         enabled = gc.isenabled()
     finally:
         enable()  # pytest's heap stays collectable whatever entry did
-    assert calls == ["disable", "freeze", "enable", ("main", True)]
+    assert calls == ["disable", "freeze", "enable", ("main", True), ("_exit", 0)]
     assert enabled
-    assert exc.value.code == 0
     out = capsys.readouterr().out
     assert "p1 = (1, 0, 0)" in out
     assert cli_main(["demo"]) == 0

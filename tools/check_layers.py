@@ -20,9 +20,10 @@ the benchmark runs it, but through `svarident.__main__.entry()` with
 it starts, when `main` starts and when `main` returns, and the op's wall
 time splits into start (from the parent's spawn to the child's first
 mark), import (`import svarident`, the CLI's imports in entry()'s
-collector-free window and `gc.freeze()`), command (`main`) and exit
-(from `main`'s return to the parent's `wait`:
-the interpreter's finalization, output flushing included).  As
+collector-free window and `gc.freeze()`), command (`main`, its flush of
+stdout included) and exit (from `main`'s return to the parent's `wait`:
+entry()'s flush of stderr and the teardown of the process, which
+entry() ends with `os._exit` and no interpreter finalization).  As
 `bench/run.py` does for cli-cold's op times, a cold reference child
 (`bench/calibrate.py` `cold_task_ms`: a fresh interpreter that imports
 numpy) runs just before each op, and the op's phases are also given

@@ -35,8 +35,13 @@ start a fresh `python -m svarident` child each, so that the start and
 exit path (`svarident.__main__.entry()`) is compared too: `check`, `explain` and
 `rotate`, text and JSON, at draw seed 11 over the cli-cold specs at
 seeds 1-2, `demo`, the error paths no `--spec`, a missing file and
-`--tol nan`, and `check` (`--seed 0`) and `rotate` (`--seed 1`) on
-the IR5000 document.  Every case
+`--tol nan`, `check` (`--seed 0`) and `rotate` (`--seed 1`) on
+the IR5000 document, and `check --draws 400 --format json` on
+specs/recursive4.spec, whose 220 kB fill the pipe until it is read.  The
+children run with PYTHONUNBUFFERED removed from their environment, so
+their stdout is a buffered pipe, as in most shells: entry() ends the
+process without the interpreter's flush at exit, and output that main
+left unflushed would be missing from every small case.  Every case
 whose stdout, stderr or exit code differs is printed with a unified
 diff; the exit status is 1 when any case differs.
 """
@@ -127,6 +132,8 @@ def cases(work: Path) -> list[dict]:
     out += [{"argv": ["rotate", "--spec", str(ir5000), "--seed", "1", "--format", fmt]}
             for fmt in ("text", "json")]
     out.append({"process": ["demo"]})
+    out.append({"process": ["check", "--spec", str(ROOT / "specs" / "recursive4.spec"),
+                            "--draws", "400", "--format", "json"]})
     out.append({"process": ["check", "--spec", str(ir5000), "--seed", "0"]})
     out.append({"process": ["rotate", "--spec", str(ir5000), "--seed", "1"]})
     out += [{"process": [command, *argv]} for command in ("check", "explain", "rotate")
@@ -196,6 +203,7 @@ def run_cases(cases_path: str, out_path: str) -> None:
 
     import ops
 
+    buffered = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     results = []
     for case in json.loads(Path(cases_path).read_text(encoding="utf-8")):
         out, err = io.StringIO(), io.StringIO()
@@ -204,7 +212,7 @@ def run_cases(cases_path: str, out_path: str) -> None:
                 code = main(case["argv"])
             elif "process" in case:  # a fresh child, which imports this tree's src/
                 proc = subprocess.run([sys.executable, "-m", "svarident", *case["process"]],
-                                      capture_output=True, text=True)
+                                      capture_output=True, text=True, env=buffered)
                 code = proc.returncode
                 out.write(proc.stdout)
                 err.write(proc.stderr)
