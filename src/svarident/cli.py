@@ -4,7 +4,8 @@ Commands: check (verdict over sampled draws or an explicit point), rotate
 (construct a restriction-satisfying rotation), demo (walk through the
 built-in counting-is-not-enough fixture), explain (name the redundant
 cells).  Exit codes: 0 identified or success, 1 usage or I/O problem
-(a bad document, option or --sigma/--b point), 2 not identified /
+(a bad document, option or --sigma/--b point, or output that cannot be
+written), 2 not identified /
 infeasible / nothing to explain, 3 inconclusive, 4 a drawn point that
 does not factor or whose f overflows.
 """
@@ -265,7 +266,7 @@ def main(argv=None) -> int:
             if sys.stdout is None:  # fd 1 was closed when the interpreter started
                 raise OSError("standard output is closed")
             code = handlers[args.command](args)
-        if sys.stdout is not None:  # the parser writes to stderr then
+        if sys.stdout is not None:  # None: --help printed to stderr instead
             sys.stdout.flush()
         return code
     except InfeasibleRestrictionsError as exc:  # rotate: a column admits no unit vector

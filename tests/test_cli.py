@@ -50,7 +50,8 @@ def run_python(*args, unbuffered=None, stdout=subprocess.PIPE):
     env = {**os.environ, "PYTHONPATH": path}
     if unbuffered is not None:
         env.pop("PYTHONUNBUFFERED", None)
-        env.update({"PYTHONUNBUFFERED": "1"} if unbuffered else {})
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     proc = subprocess.run(
         [sys.executable, *args],
         stdout=stdout,
