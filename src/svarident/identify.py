@@ -202,21 +202,34 @@ class _Walk(NamedTuple):
                     cols)
 
 
-def _projected_svd(qf: np.ndarray, basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Singular values s_i / sqrt(1 + c_i^2), sorted, and right singular
-    vectors (rows) of the blocks (Q[t] f) N.  c_i is the norm of u_i' Q[t] f
-    along the accepted columns: the quotient is about the singular value of
-    the stack [Q[t] f; accepted'] in direction i, and the rounding error of
-    the accepted columns reaches s_i times c_i."""
-    u, s, vh = np.linalg.svd(qf @ basis, full_matrices=True)
-    k = s.shape[-1]
-    along = u.swapaxes(-1, -2)[..., :k, :] @ qf
-    s = s / np.sqrt(1.0 + np.maximum(np.einsum("...ij,...ij->...i", along, along) - s * s, 0.0))
-    if (s[..., 1:] > s[..., :-1]).any():  # the correction took some out of order
-        order = np.argsort(-s, axis=-1, kind="stable")
-        at = (order,) if s.ndim == 1 else (np.arange(len(s))[:, None], order)
-        s, vh[..., :k, :] = s[at], vh[at]
-    return s, vh
+def _rank_step(qf: np.ndarray, basis: np.ndarray, t: int,
+               cutoff) -> tuple[list[int], list[list[float]], np.ndarray]:
+    """One step of the walk at each point (one point when qf is 2-D): the
+    ranks t + #(s > cutoff) of the stacks [Q[t] f; accepted'], the s that
+    decided them, sorted, and the right singular vectors (rows) of the
+    blocks (Q[t] f) N, N the basis of the complement of the t accepted
+    columns.  s_i / sqrt(1 + c_i^2) is taken for each singular value s_i of
+    (Q[t] f) N, c_i the norm of u_i' Q[t] f along the accepted columns: the
+    quotient is about the singular value of the stack in direction i, and
+    the rounding error of the accepted columns reaches s_i times c_i.  With
+    no rows and N's one column left (the last column under the counting
+    condition) the rank is t, with no SVD.  A single point's rank is counted
+    in Python: a len() stays an int where a --tol cutoff is a numpy float."""
+    if basis.shape[-1] == 1 and not qf.shape[-2]:
+        s, vh = np.zeros((*qf.shape[:-2], 0)), np.ones((*qf.shape[:-2], 1, 1))
+    else:
+        u, s, vh = np.linalg.svd(qf @ basis, full_matrices=True)
+        k = s.shape[-1]
+        along = u.swapaxes(-1, -2)[..., :k, :] @ qf
+        s = s / np.sqrt(1.0 + np.maximum(np.einsum("...ij,...ij->...i", along, along) - s * s, 0.0))
+        if (s[..., 1:] > s[..., :-1]).any():  # the correction took some out of order
+            order = np.argsort(-s, axis=-1, kind="stable")
+            at = (order,) if s.ndim == 1 else (np.arange(len(s))[:, None], order)
+            s, vh[..., :k, :] = s[at], vh[at]
+    if qf.ndim == 2:
+        sv = s.tolist()
+        return [t + len([x for x in sv if x > cutoff])], [sv], vh
+    return (t + (s > cutoff).sum(axis=1)).tolist(), s.tolist(), vh
 
 
 def _pick(rng: np.random.Generator, null_rows: np.ndarray) -> np.ndarray:
@@ -234,17 +247,15 @@ def _build_columns(a0: np.ndarray, aplus: np.ndarray, f: np.ndarray, c: Compiled
     Aplus and f, one row of each per point) together.
 
     At step t, with N an orthonormal basis of the complement of the columns
-    accepted so far, one SVD of the blocks Q[t] f N gives the rank t + #(s >
-    cutoff) of each stack [Q[t] f; accepted'] (s from _projected_svd, cutoff
-    against max(1, ||f||_2)), its null vector N v_last and the next basis
-    N V[:rank]'.  The last column, when it has no restriction rows (as under
-    the counting condition), is N's one remaining column, with no SVD.  A
-    point stops at its first rank-deficient column (P is None), except that
-    with pick_rng point 0 walks on: each of its rank-deficient columns gets
-    a random unit vector from its null space.  Full rank raises at once.
-    A single point walks without the batch axis (its f and N are 2-D, its
-    scale a float, its rank counted in Python), whose bookkeeping is a
-    sizable share of a one-point walk; it gets the bits of its row of a batch.
+    accepted so far, _rank_step gives the rank of each stack [Q[t] f;
+    accepted'] against max(1, ||f||_2), its null vector N v_last and the
+    next basis N V[:rank]'.  A point stops at its first rank-deficient
+    column (P is None), except that with pick_rng point 0 walks on: each of
+    its rank-deficient columns gets a random unit vector from its null
+    space.  Full rank raises at once.  A single point walks without the
+    batch axis (its f and N are 2-D, its scale a float), whose bookkeeping
+    is a sizable share of a one-point walk; it gets the bits of its row of
+    a batch.
     """
     n, m = c.dims.n, len(f)
     scale = np.maximum(1.0, np.linalg.svd(f, compute_uv=False)[:, 0])  # max(1, ||f||_2)
@@ -260,51 +271,38 @@ def _build_columns(a0: np.ndarray, aplus: np.ndarray, f: np.ndarray, c: Compiled
         if not idx.size:
             break
         rows = c.Q[t].shape[0] + t
-        if t == n - 1 and rows == t:  # no restriction rows: N's one column, rank n - 1
-            svals, vh = np.zeros((*basis.shape[:-2], 0)), np.ones((*basis.shape[:-2], 1, 1))
-        else:
-            svals, vh = _projected_svd(c.Q[t] @ f_act, basis)
-        cutoff = tol.resolve((rows, n), scale_act)
-        if one:  # counted in Python: a len() stays an int where a --tol cutoff is a numpy float
-            sv = [svals.tolist()]
-            ranks = [t + len([s for s in sv[0] if s > cutoff])]
-        else:
-            sv = svals.tolist()
-            ranks = (t + (svals > cutoff).sum(axis=1)).tolist()
+        ranks, sv, vh = _rank_step(c.Q[t] @ f_act, basis, t, tol.resolve((rows, n), scale_act))
         # the null vector and the next basis, in the coordinates of N
         local, nxt = vh[..., -1, :], vh[..., :-1, :]
-        points = idx.tolist()
-        for i, rank, s in zip(points, ranks, sv):
+        keep = []  # a rank-deficient point stops, unless it picks
+        for a, (i, rank, s) in enumerate(zip(idx.tolist(), ranks, sv)):
             status = (ColumnStatus.UNIQUE if rank == n - 1 else ColumnStatus.INFEASIBLE
                       if rank >= n else ColumnStatus.REDUNDANT)
             diags[i].append(ColumnDiagnostic(t + 1, orig + 1, rows, rank, n - 1, status,
                                              n - rank, tuple(s)))
-        keep = [rank == n - 1 for rank in ranks]  # a rank-deficient point stops, unless it picks
+            keep.append(rank == n - 1)
+            if keep[a]:
+                continue
+            if rank >= n:  # the points go in order: the lowest index raises
+                err = InfeasibleRestrictionsError(
+                    f"restrictions on column {orig + 1} admit no unit vector "
+                    f"(rank {rank} = n at processing step {t + 1})"
+                )
+                err.diagnostics = tuple(diags[i])
+                raise err
+            at = ... if one else a  # a single point's arrays have no batch axis
+            if ends[i] is None:
+                ends[i] = basis[at]
+            if i == 0 and pick_rng is not None:
+                keep[a] = True
+                local[at] = basis[at].T @ _pick(pick_rng, vh[at][rank - t:] @ basis[at].T)
+                nxt[at] = np.linalg.svd(local[at][None, :])[2][1:]
         if not all(keep):
-            for a, (i, rank) in enumerate(zip(points, ranks)):  # lowest index first
-                if keep[a]:
-                    continue
-                if rank >= n:
-                    err = InfeasibleRestrictionsError(
-                        f"restrictions on column {orig + 1} admit no unit vector "
-                        f"(rank {rank} = n at processing step {t + 1})"
-                    )
-                    err.diagnostics = tuple(diags[i])
-                    raise err
-                at = ... if one else a  # a single point's arrays have no batch axis
-                if ends[i] is None:
-                    ends[i] = basis[at]
-                if i == 0 and pick_rng is not None:
-                    keep[a] = True
-                    local[at] = basis[at].T @ _pick(pick_rng, vh[at][rank - t:] @ basis[at].T)
-                    nxt[at] = np.linalg.svd(local[at][None, :])[2][1:]
             if one:
-                if not keep[0]:
-                    break
-            else:
-                kept = np.array(keep)
-                idx, basis, local, nxt = idx[kept], basis[kept], local[kept], nxt[kept]
-                f_act, scale_act = f_act[kept], scale_act[kept]
+                break
+            kept = np.array(keep)
+            idx, basis, local, nxt = idx[kept], basis[kept], local[kept], nxt[kept]
+            f_act, scale_act = f_act[kept], scale_act[kept]
         # a basic slice, cheaper than the index array, while every point still walks
         p_mat[slice(None) if idx.size == m else idx, :, orig] = (basis @ local[..., None])[..., 0]
         basis = basis @ nxt.swapaxes(-1, -2)
@@ -322,7 +320,7 @@ def _build_columns(a0: np.ndarray, aplus: np.ndarray, f: np.ndarray, c: Compiled
     big = np.abs(p_mat) > _SIGN_EPS
     first = p_mat[points, big.argmax(axis=1), cols]
     weak |= _pinned_pivots(c)
-    flips[weak] = np.where(big.any(axis=1) & (first < 0), -1, 1)[weak]
+    flips[weak] = np.where(first < 0, -1, 1)[weak]
     p_mat = p_mat * flips[:, None, :] + 0.0  # + 0.0 turns -0.0 into 0.0
     ordered = flips[:, list(c.permutation)].tolist()
     walks = []
@@ -509,7 +507,7 @@ def _implicated(walk: _Walk, c: CompiledRestrictions, tol: RankTolerance) -> tup
     rows = c.Q[t] @ walk.f
     cutoff = tol.resolve((stop.qtilde_rows, c.dims.n), walk.scale)
     without = np.stack([np.delete(rows, i, axis=0) for i in range(len(rows))])
-    kept = t + np.count_nonzero(_projected_svd(without, walk.basis)[0] > cutoff, axis=1)
+    kept = _rank_step(without, walk.basis, t, cutoff)[0]
     labels = [c.cell_label(sr, orig) for sr in c.rows[t]]
     support_cells = [c.cell_label(sr, c.permutation[u]) for u in range(t) for sr in c.rows[u]]
     dependent = [
@@ -583,8 +581,8 @@ def _check(c: CompiledRestrictions, tol: RankTolerance, r: ReducedFormParams | N
     Psi_h depends on B alone, which P leaves as it is; so f(A0 P, Aplus P)
     = f(A0, Aplus) P.  explain, which never prints the cross-check, runs
     without it.  A counting-condition failure is decided without drawing
-    any point.  A redundancy verdict is explained from the first point's
-    walk.
+    any point; r is still fronted, so that its errors are raised.  A
+    redundancy verdict is explained from the first point's walk.
     """
     if r is None and draws < 2:
         raise ValueError("at least 2 draws are required")
@@ -610,6 +608,8 @@ def _check(c: CompiledRestrictions, tol: RankTolerance, r: ReducedFormParams | N
             implicated = _implicated(first, c, tol)
         else:
             verdict = Verdict.INCONCLUSIVE_DRAW_DISAGREEMENT
+    elif r is not None:  # a bad explicit point is refused whatever the count
+        _front(*batches[0], c)
     if cc.overall and cross_check:
         # free the last batch first (walk views it): the cross-check then adds
         # its arrays to first's, not to a whole batch's (at n = 40 a 1 MB higher peak)
@@ -639,7 +639,7 @@ def check_exact_identification(
     spec: RestrictionSpec,
     config: SamplerConfig | None = None,
     draws: int = 5,
-    seed: int = 0,
+    seed: int | None = None,
     tol: RankTolerance = DEFAULT_TOL,
 ) -> IdentificationReport:
     """Verdict on exact identification from M independent reduced-form draws.
@@ -651,7 +651,12 @@ def check_exact_identification(
     Inconclusive_DrawDisagreement with per-column singular values kept in
     the diagnostics rather than resolved by majority vote.  The report also
     carries the rank cross-check at the restricted point of draw 0, the
-    point restricted_point gives with pick seed 0.
+    point restricted_point gives with pick seed 0.  Without config the
+    draws come from SamplerConfig(spec.dims, seed=seed), seed 0 when None;
+    with it, a seed other than None or config.seed is refused.
     """
-    cfg = config if config is not None else SamplerConfig(spec.dims, SamplerConfig.diag_floor, seed)
-    return _check(compile_spec(spec), tol, cfg=cfg, draws=draws)
+    if config is None:
+        config = SamplerConfig(spec.dims, SamplerConfig.diag_floor, 0 if seed is None else seed)
+    elif seed is not None and seed != config.seed:
+        raise ValueError(f"seed {seed} disagrees with config.seed {config.seed}")
+    return _check(compile_spec(spec), tol, cfg=config, draws=draws)

@@ -21,10 +21,12 @@ from svarident.errors import UnrestrictedPointError
 from svarident.identify import (
     Verdict,
     check_exact_identification,
+    count_condition,
     nonredundancy_at,
     restricted_point,
     theorem6_check,
 )
+from svarident.linalg import RankTolerance
 from svarident.report import check_report_dict, verdict_exit_code
 from svarident.restrictions import compile_spec, parse_spec
 from svarident.sampler import SamplerConfig, draw_reduced_form
@@ -316,6 +318,50 @@ def test_bad_point_files_are_refused_with_one_message(tmp_path, capsys):
                 got = main([command, "--spec", str(ir5000), *argv, "--format", fmt])
                 assert (got, *capsys.readouterr()) == (code, "", f"svar-ident: error: {reason}\n"), \
                     (command, argv, fmt)
+
+
+def test_a_bad_point_is_refused_whatever_the_count(tmp_path, capsys):
+    # the count fails for both documents, and the point is still fronted:
+    # a Sigma that does not factor and an f that overflows are bad input
+    # (exit 1), as under a count that holds, not a count-failure verdict
+    indefinite = tmp_path / "sigma-indefinite.txt"
+    indefinite.write_text("1 2 0\n2 1 0\n0 0 1\n", encoding="utf-8")
+    ir5000 = tmp_path / "ir5000-overcounted.spec"  # q = (1, 1): the count fails
+    ir5000.write_text("n = 2\np = 1\nblock IR5000\nx 0\n0 x\n", encoding="utf-8")
+    explosive = tmp_path / "b-explosive.txt"
+    explosive.write_text("2 0\n0 2\n0 0\n", encoding="utf-8")
+    eye = tmp_path / "sigma-eye2.txt"
+    eye.write_text("1 0\n0 1\n", encoding="utf-8")
+    for doc, argv, reason in (
+        (OVER, ["--sigma", str(indefinite)], "matrix is not positive definite (nonpositive pivot)"),
+        (str(ir5000), ["--sigma", str(eye), "--b", str(explosive)],
+         "f is not finite: an impulse-response block overflows"),
+    ):
+        assert not count_condition(compile_spec(parse_spec(Path(doc).read_text()))).overall
+        for command in ("check", "explain", "rotate"):
+            for fmt in ("text", "json"):
+                code = main([command, "--spec", doc, *argv, "--format", fmt])
+                assert (code, *capsys.readouterr()) == (1, "", f"svar-ident: error: {reason}\n"), \
+                    (doc, command, fmt)
+
+
+def test_ranks_are_ints_under_an_absolute_cutoff(capsys):
+    # a numpy-float --tol cutoff must not turn a rank into a numpy integer,
+    # which the JSON report cannot write: one point and a batch alike
+    for argv in (["rotate", "--spec", REC3], ["check", "--spec", REC3, "--sigma", SIGMA_EYE],
+                 ["check", "--spec", REC3]):
+        code = main([*argv, "--tol", "1e-9", "--format", "json"])
+        assert code == 0, argv
+        json.loads(capsys.readouterr().out)
+    spec = parse_spec(Path(REC3).read_text())
+    c, tol = compile_spec(spec), RankTolerance(1e-9)
+    r = draw_reduced_form(SamplerConfig(dims=spec.dims, seed=0), 0)
+    one = nonredundancy_at(r, c, spec, tol).per_column
+    batch = [d for rec in check_exact_identification(spec, draws=3, tol=tol).draws
+             for d in rec.per_column]
+    assert len(one) == 3 and len(batch) == 9
+    for d in (*one, *batch):
+        assert type(d.rank) is int and type(d.null_dim) is int, d
 
 
 def test_a_point_that_would_fill_in_a_verdict_changing_file_is_refused(tmp_path, capsys):

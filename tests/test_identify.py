@@ -8,7 +8,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from svarident.errors import InfeasibleRestrictionsError, UnrestrictedPointError
+from svarident.errors import (
+    InfeasibleRestrictionsError,
+    NotPositiveDefiniteError,
+    UnrestrictedPointError,
+)
 from svarident.fixtures import COUNTEREXAMPLE
 from svarident.identify import (
     ColumnDiagnostic,
@@ -374,6 +378,38 @@ def test_check_at_point_explicit():
     spec_ok = parse_spec(recursive_spec_text(3))
     report = check_at_point(spec_ok, _eye_point(3))
     assert report.verdict is Verdict.EXACTLY_IDENTIFIED
+
+
+def test_check_at_point_refuses_a_bad_point_whatever_the_count():
+    # the count fails, and a Sigma that does not factor is still refused;
+    # a drawn check whose count fails draws nothing
+    spec = parse_spec(OVERCOUNTED)
+    r = ReducedFormParams(spec.dims, np.zeros((spec.dims.m, 3)),
+                          np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]]))
+    with pytest.raises(NotPositiveDefiniteError, match="not positive definite"):
+        check_at_point(spec, r)
+    with pytest.raises(NotPositiveDefiniteError):
+        check_at_point(parse_spec(recursive_spec_text(3)), r)
+
+    def no_draws(*args):
+        raise AssertionError("a count failure drew a point")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(identify, "_draw_stack", no_draws)
+        report = check_exact_identification(spec, draws=5)
+    assert report.verdict is Verdict.NOT_IDENTIFIED_COUNT_FAILURE and report.draws == ()
+
+
+def test_check_refuses_a_seed_its_config_does_not_have():
+    spec = parse_spec(recursive_spec_text(3))
+    cfg = SamplerConfig(spec.dims, 0.1, 3)
+    with pytest.raises(ValueError, match="seed 7 disagrees with config.seed 3"):
+        check_exact_identification(spec, cfg, draws=2, seed=7)
+    alone = check_exact_identification(spec, cfg, draws=2)
+    assert check_exact_identification(spec, cfg, draws=2, seed=3) == alone
+    assert check_exact_identification(spec, draws=2, seed=3) == alone
+    assert [d.seed for d in alone.draws] == [stream_key(3, i) for i in range(2)]
+    assert check_exact_identification(spec, draws=2) == check_exact_identification(spec, draws=2, seed=0)
 
 
 def test_point_dims_must_match_the_spec():

@@ -36,7 +36,12 @@ subtracted, except inside `theorem6`, which counts everything below it):
   sample            draw_reduced_form / the stacked draw
   baseline          baseline_structural / the stacked baseline
   f                 assemble_f / the stacked assembly of f
-  walk              _build_columns (the walk of each point)
+  walk              _build_columns (the walk of each point): its control
+                    flow, statuses, diagnostics, picks, basis updates and
+                    sign rule, without the rank steps
+  rank step         _rank_step: each step's SVD, its correction, the sort
+                    and the rank count, in the walk and in the
+                    explanation's row deletions
   theorem6          theorem6_check, and _theorem6, the rank test a check
                     runs on F = f P of its draw 0
   render            check_report_dict, check_report_text, render_json;
@@ -79,6 +84,7 @@ LAYERS = {
     "baseline": [("model", "baseline_structural"), ("model", "_baseline_stack")],
     "f": [("restrictions", "assemble_f"), ("restrictions", "_assemble_stack")],
     "walk": [("identify", "_build_columns")],
+    "rank step": [("identify", "_rank_step")],
     "theorem6": [("identify", "theorem6_check"), ("identify", "_theorem6")],
     "render": [("report", "check_report_dict"), ("report", "check_report_text"),
                ("report", "render_json")],

@@ -15,7 +15,9 @@ singular values).  It runs `demo`, and the error paths of
 ""`, `--tol nan`, `--tol 0`, `--draws 1`, a malformed document, and
 `--sigma` files that are asymmetric, hold a NaN, are indefinite or have
 the wrong shape, a `--b` file with a NaN beside `--sigma
-specs/sigma_eye3.txt`, `rotate` on specs/overcounted3.spec, `check`
+specs/sigma_eye3.txt`, the indefinite `--sigma` file on
+specs/overcounted3.spec, whose count fails, `rotate` on
+specs/overcounted3.spec, `check`
 and `explain` at `--seed 0` on an n = 2, p = 1 document whose one block
 IR5000 overflows at draw 2, and `rotate` at `--seed 1` on that document,
 whose draw 0 overflows.  It also renders walk-large's api-check JSON
@@ -121,6 +123,9 @@ def cases(work: Path) -> list[dict]:
         path = work / f"{option[-1][2:]}-{name}.txt"
         path.write_text(text, encoding="utf-8")
         bad_points.append(["--spec", rec3, *option, str(path)])
+    # refused whatever the count: specs/overcounted3.spec fails it
+    bad_points.append(["--spec", str(ROOT / "specs" / "overcounted3.spec"), "--sigma",
+                       str(work / "sigma-indefinite.txt")])
     for command in ("check", "explain", "rotate"):
         out += [{"argv": [command, *argv]} for argv in (
             [], ["--spec", str(work / "missing.spec")], ["--spec", rec3, "--sigma", ""],
